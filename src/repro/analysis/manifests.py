@@ -220,6 +220,18 @@ _RECURSIVE_POSMAP_SOURCES = ModuleSources(
 )
 
 
+#: LAORAM's protocol mixin: request ids plus the lookahead plan's answers
+#: (a block's next planned leaf, or the next of the window's precomputed
+#: remaps) are secret — the plan is derived from the future access sequence.
+#: How many bins a window has is public (trace length over ``S``).
+_LAORAM_SOURCES = ModuleSources(
+    params=frozenset({"block_id", "block_ids", "leaf"}),
+    attrs=frozenset({"position_map.leaves", "stash"}),
+    calls=frozenset({"consume_next_leaf", "next", "position_map.get"}),
+    declassifiers=_PATH_REVEAL,
+)
+
+
 def default_config() -> AnalysisConfig:
     """The manifest for this repository (see docs/static_analysis.md)."""
     return AnalysisConfig(
@@ -229,6 +241,7 @@ def default_config() -> AnalysisConfig:
             "repro/oram/pr_oram.py": _PRORAM_SOURCES,
             "repro/oram/write_back.py": _WRITE_BACK_SOURCES,
             "repro/oram/recursive_posmap.py": _RECURSIVE_POSMAP_SOURCES,
+            "repro/core/laoram.py": _LAORAM_SOURCES,
         },
         obl_hot_functions={
             "repro/oram/engine.py": (
@@ -270,6 +283,14 @@ def default_config() -> AnalysisConfig:
                 "RecursivePositionMap.set",
                 "RecursivePositionMap.get_many",
                 "RecursivePositionMap.set_many",
+            ),
+            "repro/core/laoram.py": (
+                "LookaheadClientMixin._access_bin",
+                "LookaheadClientMixin._execute_plan",
+                "LookaheadClientMixin._choose_new_leaf",
+                "LookaheadClientMixin._planned_leaf",
+                "LookaheadClientMixin.access_many",
+                "LookaheadClientMixin.write_many",
             ),
         },
         observable_containers=frozenset(
@@ -356,6 +377,16 @@ def default_config() -> AnalysisConfig:
                 "client-side write-back planning over stash rows (see "
                 "plan_greedy_write_back); observable path write is charged "
                 "in full either way",
+            ),
+            Declassification(
+                "repro/core/laoram.py",
+                "LookaheadClientMixin._planned_leaf",
+                ("OBL001",),
+                "LAORAM remap: the plan's leaf when the block recurs in the "
+                "window, else a fresh uniform draw; both arms yield a leaf "
+                "drawn uniformly and independently of the block id (every bin "
+                "path is an independent uniform draw), so the next observed "
+                "path is distributed as in PathORAM either way",
             ),
             Declassification(
                 "repro/oram/engine.py",

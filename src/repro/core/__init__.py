@@ -1,9 +1,10 @@
 """LAORAM core: look-ahead superblock formation, preprocessor and clients.
 
-Two interchangeable clients execute the protocol: the per-object reference
-:class:`LAORAMClient` and the array-backed :class:`FastLAORAMClient`, which
-makes identical protocol decisions (and therefore identical traffic
-counters for a fixed seed) over vectorized storage.
+The protocol lives in one mixin, :class:`LookaheadClientMixin`, over two
+storage backends: the per-object reference :class:`LAORAMClient` and the
+array-backed :class:`FastLAORAMClient`, which makes identical protocol
+decisions (and therefore identical traffic counters for a fixed seed) over
+vectorized storage.
 """
 
 from repro.core.config import LAORAMConfig

@@ -1,206 +1,25 @@
 """Array-backed LAORAM client: the vectorized twin of :class:`LAORAMClient`.
 
-Combines :class:`~repro.core.laoram.LookaheadClientMixin` (plan management,
-trace windowing, batched entry points) with the vectorized
-:class:`~repro.oram.array_path_oram.ArrayPathORAM` storage engine.  The
-superblock hot path avoids every per-block Python object: bins are consumed
-as numpy slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`),
-initial placement is one vectorized position-map scatter plus a per-level
-bulk placement, and write-backs reuse the array engine's vectorized greedy
-planner.
+Combines :class:`~repro.core.laoram.LookaheadClientMixin` (the whole LAORAM
+protocol: plan, trace windowing, initial placement, bin execution through
+the engine's batched access step) with the vectorized
+:class:`~repro.oram.array_path_oram.ArrayPathORAM` storage backend, exactly
+as :class:`~repro.core.laoram.LAORAMClient` combines it with the per-object
+one.  Only the storage hooks differ: multi-path reads are one deduplicated
+gather, write-backs use the cross-path batched planner and the initial
+placement is the per-level bulk placement.
 
-The engine is decision-for-decision identical to the per-object client — it
-draws from the RNG in the same order and picks the same write-back victims —
-so a fixed seed yields bit-identical traffic counters on both backends while
-running an order of magnitude faster (see
+Both backends draw from the RNG in the same order and pick the same
+write-back victims, so a fixed seed yields bit-identical traffic counters
+while this one runs an order of magnitude faster (see
 ``benchmarks/bench_engine_throughput.py``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.oram.array_path_oram import ArrayPathORAM
-from repro.oram.position_map import PositionMap
 from repro.core.laoram import LookaheadClientMixin
-from repro.core.superblock import LookaheadPlan, SuperblockBin
 
 
 class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
     """Look-ahead ORAM client over the array-backed execution engine."""
-
-    # ------------------------------------------------------------------
-    # Plan execution
-    # ------------------------------------------------------------------
-    def _execute_plan(self, plan: LookaheadPlan) -> None:
-        """Execute every bin of ``plan`` from its arrays (no bin objects).
-
-        Block ids are range-checked once per window instead of once per bin
-        (the preprocessor already rejected negative ids), and the whole
-        window's remap leaves are precomputed in one vectorized pass instead
-        of per-access plan lookups.
-        """
-        if plan.max_block_id >= self.config.num_blocks:
-            self._check_block_id(plan.max_block_id)
-        precomputed = plan.plan_bin_remaps()
-        if precomputed is None:
-            for start_index, block_ids, _ in plan.iter_bin_arrays():
-                self._access_superblock_ids(
-                    start_index, block_ids.tolist(), check_ids=False,
-                    collect=False,
-                )
-            return
-        remaps, final_consumed = precomputed
-        for bin_id, (start_index, block_ids, _) in enumerate(plan.iter_bin_arrays()):
-            self._access_superblock_ids(
-                start_index,
-                block_ids.tolist(),
-                check_ids=False,
-                remap_leaves=remaps[bin_id],
-                collect=False,
-            )
-        plan.apply_consumption(final_consumed)
-
-    def apply_initial_placement(self, plan: LookaheadPlan) -> None:
-        """Lay the table out so each block starts on its first planned path.
-
-        Trusted-setup operation (not charged to traffic): the position map is
-        re-scattered to each block's first planned bin leaf in one vectorized
-        assignment, the consumed first occurrences are marked so the first
-        in-trace reassignment cannot repeat the placement leaf, and the tree
-        is rebuilt with the per-level bulk placement (canonical block-id
-        order — the same layout the per-object client produces).
-        """
-        if self.counter.logical_accesses:
-            raise ConfigurationError(
-                "initial placement can only be applied before any access"
-            )
-        initial = plan.initial_leaves(self.config.num_blocks)
-        planned = np.nonzero(initial >= 0)[0]
-        self.position_map.load_many(planned, initial[planned])
-        plan.consume_first_occurrences(self.config.num_blocks)
-        self.tree = self._make_tree()
-        self.stash.clear()
-        self._bulk_load()
-
-    def access_superblock(
-        self,
-        superblock: SuperblockBin,
-        new_payloads: Optional[dict[int, object]] = None,
-    ) -> list[Optional[object]]:
-        """Serve every access of one superblock bin (object-level API)."""
-        return self._access_superblock_ids(
-            superblock.start_index, list(superblock.block_ids), new_payloads
-        )
-
-    def _access_superblock_ids(
-        self,
-        start_index: int,
-        block_ids: list[int],
-        new_payloads: Optional[dict[int, object]] = None,
-        check_ids: bool = True,
-        remap_leaves: Optional[list[int]] = None,
-        collect: bool = True,
-    ) -> list[Optional[object]]:
-        """Serve one bin given its start index and id list.
-
-        Mirrors ``LAORAMClient.access_superblock`` decision for decision:
-        stash hits are free, missing blocks are grouped by current path in
-        first-encounter order and each distinct path is fetched once, then
-        every distinct block is remapped to its next planned occurrence.
-        ``check_ids=False`` skips the per-id range check when the caller has
-        already validated the whole window; ``remap_leaves`` supplies the
-        bin's precomputed remap leaves (``-1`` = uniform fallback draw) in
-        distinct-block first-occurrence order; ``collect=False`` skips
-        building the per-access payload list when the caller (``run_trace``)
-        discards it.
-        """
-        self.counter.record_logical_access(len(block_ids))
-        self.timing.charge_client_overhead(len(block_ids))
-
-        needed = list(dict.fromkeys(block_ids))
-        if check_ids:
-            for block_id in needed:
-                self._check_block_id(block_id)
-
-        # Leaf reads/writes go straight to the position-map array when the
-        # map is the trusted dense one: every id was range-checked above and
-        # every new leaf comes from the plan or the engine RNG, both already
-        # bounded by num_leaves.  A recursive map has no free array view, so
-        # leaf lookups and remaps route through its charged get/set walks.
-        dense = type(self.position_map) is PositionMap
-        pm_leaves = self.position_map.leaves if dense else None
-        stash = self.stash
-        row_of = stash.row_of
-        read_leaves: list[int] = []
-        missing = [b for b in needed if row_of[b] < 0]
-        self._stash_hits += len(needed) - len(missing)
-        if missing:
-            leaves: dict[int, None] = {}
-            if dense:
-                for block_id in missing:
-                    leaves.setdefault(int(pm_leaves[block_id]), None)
-            else:
-                for block_id in missing:
-                    leaves.setdefault(self.position_map.get(block_id), None)
-            read_leaves = list(leaves)
-            self._read_paths_into_stash(read_leaves, dummy=False)
-            for block_id in missing:
-                if row_of[block_id] < 0:
-                    raise BlockNotFoundError(
-                        f"block {block_id} missing from both stash and its path"
-                    )
-
-        payloads: list[Optional[object]] = []
-        if collect or new_payloads is not None:
-            store = self._payloads
-            for block_id in block_ids:
-                if new_payloads is not None and block_id in new_payloads:
-                    store[block_id] = new_payloads[block_id]
-                payloads.append(store.get(block_id))
-
-        # Remap every distinct block to its next planned occurrence.  The
-        # stash mirrors each resident block's leaf, so both the position map
-        # and the block's stash row are updated together.  Plan-supplied
-        # leaves are range-checked (the direct array writes bypass
-        # PositionMap.set) so a plan built for a different tree fails here,
-        # exactly where the per-object client would.
-        end_index = start_index + len(block_ids) - 1
-        stash_leaves = stash.leaf_rows
-        num_leaves = self.config.num_leaves
-        if remap_leaves is None:
-            for block_id in needed:
-                leaf = self._planned_leaf(block_id, after_index=end_index)
-                if not 0 <= leaf < num_leaves:
-                    raise ConfigurationError(
-                        f"planned leaf {leaf} outside [0, {num_leaves})"
-                    )
-                if dense:
-                    pm_leaves[block_id] = leaf
-                else:
-                    self.position_map.set(block_id, leaf)
-                stash_leaves[row_of[block_id]] = leaf
-        else:
-            rng = self.rng
-            for block_id, leaf in zip(needed, remap_leaves):
-                if leaf < 0:
-                    leaf = int(rng.integers(0, num_leaves))
-                elif leaf >= num_leaves:
-                    raise ConfigurationError(
-                        f"planned leaf {leaf} outside [0, {num_leaves})"
-                    )
-                if dense:
-                    pm_leaves[block_id] = leaf
-                else:
-                    self.position_map.set(block_id, leaf)
-                stash_leaves[row_of[block_id]] = leaf
-
-        self._write_back_many(read_leaves)
-
-        self._trace_cursor = end_index + 1
-        self._maybe_background_evict()
-        self.counter.observe_stash(len(stash))
-        return payloads

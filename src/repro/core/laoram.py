@@ -20,19 +20,23 @@ The fat-tree option lives entirely in :class:`~repro.oram.config.ORAMConfig`,
 so the same client runs both the "Normal" and "Fat" configurations of the
 evaluation.
 
-Plan management, trace windowing and the batched entry points live in
-:class:`LookaheadClientMixin` so that the per-object client here and the
-array-backed :class:`~repro.core.fast_laoram.FastLAORAMClient` share one
-scheduling implementation and differ only in how a superblock is executed.
+LAORAM is one protocol mixin over two storage backends, like RingORAM and
+PrORAM: :class:`LookaheadClientMixin` holds the plan, the trace cursor, the
+initial placement and every entry point, and serves each bin through the
+engine's shared batched access step
+(:meth:`~repro.oram.engine.TreeORAMEngine._access_batch`) with the plan
+supplying the remap leaves.  :class:`LAORAMClient` puts it over the
+per-object engine and :class:`~repro.core.fast_laoram.FastLAORAMClient`
+over the array engine; they differ only in the storage hooks.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import BlockNotFoundError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
 from repro.oram.base import AccessOp
@@ -44,22 +48,22 @@ from repro.core.superblock import LookaheadPlan, SuperblockBin
 
 
 class LookaheadClientMixin:
-    """Plan-driven scheduling shared by every LAORAM engine backend.
+    """The LAORAM protocol over any tree-ORAM storage backend.
 
     The mixin owns the constructor, the preprocessor, the installed plan,
-    the trace cursor and every trace-level entry point (``run_trace``,
-    ``access_many``, ``write_many``).  Concrete engines provide the storage
-    backend plus :meth:`access_superblock` and
-    :meth:`apply_initial_placement`.
+    the trace cursor, the trusted-setup initial placement and every
+    trace-level entry point (``run_trace``, ``access_many``,
+    ``write_many``).  A bin is served by the engine's batched access step;
+    the only backend-specific part is the storage hook that re-places
+    every block in block-id order (``_relayout_tree(by_id=True)``).
     """
 
     laoram_config: LAORAMConfig
 
     #: LAORAM's batching is the superblock bin itself (``access_many`` and
-    #: ``write_many`` below chunk on bin boundaries); the generic batched
-    #: access protocol does not apply.  Bins still flow through the engine's
-    #: batched read/write-back hooks (``_read_paths_into_stash`` /
-    #: ``_write_back_many``).
+    #: ``write_many`` below chunk on bin boundaries), so the engine's
+    #: ``batch_size`` chunking does not apply.  Each bin still runs through
+    #: the shared batched step :meth:`_access_batch`.
     SUPPORTS_BATCHED_ACCESS = False
 
     #: Scalar leaf draws: the preprocessor and the bin-path draws pull from
@@ -90,11 +94,6 @@ class LookaheadClientMixin:
             observer=observer,
             allocator=allocator,
         )
-        self._init_lookahead(config)
-
-    def _init_lookahead(self, config: LAORAMConfig) -> None:
-        if not isinstance(config, LAORAMConfig):
-            raise ConfigurationError("LAORAM clients require an LAORAMConfig")
         self.laoram_config = config
         self.preprocessor = Preprocessor(
             superblock_size=config.superblock_size,
@@ -103,6 +102,9 @@ class LookaheadClientMixin:
         )
         self._plan: Optional[LookaheadPlan] = None
         self._trace_cursor = 0
+        # Remap leaves of the bin being executed by _execute_plan (``-1`` =
+        # uniform fallback), in the order the batch step remaps its blocks.
+        self._bin_remaps: Optional[Iterator[int]] = None
 
     # ------------------------------------------------------------------
     # Plan management
@@ -122,12 +124,35 @@ class LookaheadClientMixin:
         self.set_plan(plan)
         return plan
 
+    def apply_initial_placement(self, plan: LookaheadPlan) -> None:
+        """Lay the table out so each block starts on its first planned path.
+
+        This is a trusted-setup operation (the same trust assumption PathORAM
+        makes for its initial bulk load): it may only run before the first
+        adversary-visible access, and it is not charged to the traffic
+        counters.  The first planned occurrence of every placed block is
+        marked consumed so the first in-trace reassignment cannot be handed
+        the same leaf again (which an adversary could link).  Blocks are
+        re-placed in block-id order, the order of the initial bulk load;
+        payloads are preserved.
+        """
+        if self.counter.logical_accesses:
+            raise ConfigurationError(
+                "initial placement can only be applied before any access"
+            )
+        initial = plan.initial_leaves(self.config.num_blocks)
+        planned = np.nonzero(initial >= 0)[0]
+        self.position_map.load_many(planned, initial[planned])
+        plan.consume_first_occurrences(self.config.num_blocks)
+        self._relayout_tree(by_id=True)
+
     # ------------------------------------------------------------------
     # Trace-level entry points
     # ------------------------------------------------------------------
     def run_trace(
         self,
         addresses: Sequence[int] | np.ndarray,
+        *,
         reinitialize_placement: bool = True,
     ) -> None:
         """Preprocess and execute a full access trace at superblock granularity.
@@ -144,7 +169,8 @@ class LookaheadClientMixin:
         accesses are coalesced.  Every bin path is still drawn uniformly and
         independently, so the observable access pattern is unchanged.  The
         reinitialisation is only permitted before any adversary-visible
-        access has been issued.
+        access has been issued.  It is keyword-only so that the base
+        engine's positional ``ops`` argument cannot be silently absorbed.
         """
         addr = np.asarray(addresses, dtype=np.int64)
         window = self.laoram_config.lookahead_accesses or addr.size
@@ -162,9 +188,52 @@ class LookaheadClientMixin:
             offset += window
 
     def _execute_plan(self, plan: LookaheadPlan) -> None:
-        """Execute every bin of ``plan``; backends may override for speed."""
-        for superblock in plan.bins:
-            self.access_superblock(superblock)
+        """Execute every bin of a preprocessor-built ``plan`` from its arrays.
+
+        The whole window's remap leaves are precomputed in one vectorized
+        pass (:meth:`LookaheadPlan.plan_bin_remaps`) and handed to
+        :meth:`_choose_new_leaf` bin by bin, replacing a plan lookup per
+        remap with the identical answers.
+        """
+        remaps, final_consumed = plan.plan_bin_remaps()
+        try:
+            for (start_index, block_ids, _), bin_remaps in zip(
+                plan.iter_bin_arrays(), remaps
+            ):
+                self._bin_remaps = iter(bin_remaps)
+                self._access_bin(start_index, block_ids.tolist())
+        finally:
+            self._bin_remaps = None
+        plan.apply_consumption(final_consumed)
+
+    def access_superblock(
+        self,
+        superblock: SuperblockBin,
+        new_payloads: Optional[dict[int, object]] = None,
+    ) -> list[Optional[object]]:
+        """Serve every access of one superblock bin; payloads in bin order."""
+        return self._access_bin(
+            superblock.start_index, list(superblock.block_ids), new_payloads
+        )
+
+    def _access_bin(
+        self,
+        start_index: int,
+        block_ids: list[int],
+        new_payloads: Optional[dict[int, object]] = None,
+    ) -> list[Optional[object]]:
+        """Serve one bin through the engine's batched access step.
+
+        With the cursor parked on the bin's last index,
+        :meth:`_choose_new_leaf` hands each block the path of its next
+        planned occurrence after the bin.  ``new_payloads`` turns the
+        corresponding accesses into writes.
+        """
+        end_index = start_index + len(block_ids) - 1
+        self._trace_cursor = end_index
+        payloads = self._access_batch(block_ids, new_payloads)
+        self._trace_cursor = end_index + 1
+        return payloads
 
     def access_many(self, block_ids: Sequence[int]) -> list[Optional[object]]:
         """Batched read access: ids are grouped into superblock-sized bins.
@@ -175,18 +244,12 @@ class LookaheadClientMixin:
         boundaries are aligned to the global access index so they coincide
         with the boundaries the preprocessor used when planning the trace.
         """
-        ids = [int(b) for b in block_ids]
+        ids = self._coerce_id_list(block_ids)
         payloads: list[Optional[object]] = []
         offset = 0
         while offset < len(ids):
-            chunk = tuple(ids[offset : offset + self._next_bin_length()])
-            superblock = SuperblockBin(
-                bin_id=-1,
-                start_index=self._trace_cursor,
-                block_ids=chunk,
-                leaf=0,
-            )
-            payloads.extend(self.access_superblock(superblock))
+            chunk = ids[offset : offset + self._next_bin_length()]
+            payloads.extend(self._access_bin(self._trace_cursor, chunk))
             offset += len(chunk)
         return payloads
 
@@ -199,21 +262,15 @@ class LookaheadClientMixin:
         updated rows sharing a path cost a single fetch, mirroring the read
         side.  Duplicate ids within the batch keep the last payload.
         """
-        ids = [int(b) for b in block_ids]
-        if len(ids) != len(payloads):
+        if len(block_ids) != len(payloads):
             raise ConfigurationError("block_ids and payloads must have equal length")
+        ids = self._coerce_id_list(block_ids)
         offset = 0
         while offset < len(ids):
             take = self._next_bin_length()
             chunk = ids[offset : offset + take]
             updates = dict(zip(chunk, payloads[offset : offset + take]))
-            superblock = SuperblockBin(
-                bin_id=-1,
-                start_index=self._trace_cursor,
-                block_ids=tuple(chunk),
-                leaf=0,
-            )
-            self.access_superblock(superblock, new_payloads=updates)
+            self._access_bin(self._trace_cursor, chunk, updates)
             offset += len(chunk)
 
     def _next_bin_length(self) -> int:
@@ -241,14 +298,24 @@ class LookaheadClientMixin:
         return payload
 
     def _choose_new_leaf(self, block_id: int) -> int:
-        return self._planned_leaf(block_id, after_index=self._trace_cursor)
+        """Path of the block's next planned bin after the cursor.
 
-    def _planned_leaf(self, block_id: int, after_index: int) -> int:
-        if self._plan is not None:
-            leaf = self._plan.consume_next_leaf(block_id, after_index)
-            if leaf is not None:
-                return leaf
-        return int(self.rng.integers(0, self.config.num_leaves))
+        Inside :meth:`_execute_plan` the answers come from the window's
+        precomputed remaps, consumed in the order the batch step remaps a
+        bin's distinct blocks; otherwise the plan is asked directly.
+        """
+        if self._bin_remaps is not None:
+            return self._planned_leaf(next(self._bin_remaps))
+        plan = self._plan
+        if plan is None:
+            return self._draw_leaf()
+        return self._planned_leaf(plan.consume_next_leaf(block_id, self._trace_cursor))
+
+    def _planned_leaf(self, leaf: Optional[int]) -> int:
+        """The plan's leaf, or a uniform draw when it has none (``None``/``-1``)."""
+        if leaf is None or leaf == -1:
+            return self._draw_leaf()
+        return leaf
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -262,113 +329,6 @@ class LookaheadClientMixin:
         """Configuration label in the paper's notation (e.g. ``"Fat/S4"``)."""
         return self.laoram_config.describe()
 
-    # Backend-specific operations -------------------------------------
-    def apply_initial_placement(self, plan: LookaheadPlan) -> None:
-        raise NotImplementedError
-
-    def access_superblock(
-        self,
-        superblock: SuperblockBin,
-        new_payloads: Optional[dict[int, object]] = None,
-    ) -> list[Optional[object]]:
-        raise NotImplementedError
-
 
 class LAORAMClient(LookaheadClientMixin, PathORAM):
     """Look-ahead ORAM client (the paper's contribution), per-object backend."""
-
-    def apply_initial_placement(self, plan: LookaheadPlan) -> None:
-        """Lay the table out so each block starts on its first planned path.
-
-        This is a trusted-setup operation (the same trust assumption PathORAM
-        makes for its initial bulk load): it may only run before the first
-        adversary-visible access, and it is not charged to the traffic
-        counters.  The first planned occurrence of every placed block is
-        marked consumed so the first in-trace reassignment cannot be handed
-        the same leaf again (which an adversary could link).
-        """
-        if self.counter.logical_accesses:
-            raise ConfigurationError(
-                "initial placement can only be applied before any access"
-            )
-        # Reassign initial paths: first planned occurrence when available.
-        initial = plan.initial_leaves(self.config.num_blocks)
-        for block_id in np.nonzero(initial >= 0)[0].tolist():
-            self.position_map.load(block_id, int(initial[block_id]))
-        plan.consume_first_occurrences(self.config.num_blocks)
-        # Rebuild the tree layout under the new position map, preserving any
-        # payloads installed by load_payloads().  The stash id list is
-        # snapshotted before popping so removal cannot perturb the iteration,
-        # and blocks are re-placed in canonical block-id order (the same
-        # order the initial bulk load uses).
-        blocks = {block.block_id: block for block in self.tree.iter_blocks()}
-        for block_id in list(self.stash.block_ids):
-            block = self.stash.pop(block_id)
-            if block is not None:
-                blocks[block.block_id] = block
-        self.tree = self._make_tree()
-        self.stash.clear()
-        for block_id in sorted(blocks):
-            block = blocks[block_id]
-            block.leaf = self.position_map.peek(block.block_id)
-            if not self.tree.try_place_on_path(block):
-                self.stash.add(block)
-
-    def access_superblock(
-        self,
-        superblock: SuperblockBin,
-        new_payloads: Optional[dict[int, object]] = None,
-    ) -> list[Optional[object]]:
-        """Serve every access of one superblock bin.
-
-        Returns the payloads in the bin's access order.  Path reads are
-        deduplicated: blocks already in the stash cost nothing, and blocks
-        sharing a path are fetched together.  ``new_payloads`` turns the
-        corresponding accesses into writes (the payload is replaced before
-        the block is written back).
-        """
-        block_ids = superblock.block_ids
-        self.counter.record_logical_access(len(block_ids))
-        self.timing.charge_client_overhead(len(block_ids))
-
-        needed = list(superblock.unique_block_ids)
-        for block_id in needed:
-            self._check_block_id(block_id)
-
-        # Group the blocks that are not cached in the stash by their current
-        # path, then fetch each distinct path exactly once.
-        read_leaves: list[int] = []
-        missing = [b for b in needed if b not in self.stash]
-        self._stash_hits += len(needed) - len(missing)
-        if missing:
-            leaves = {}
-            for block_id in missing:
-                leaves.setdefault(self.position_map.get(block_id), []).append(block_id)
-            read_leaves = list(leaves)
-            self._read_paths_into_stash(read_leaves, dummy=False)
-
-        payloads: list[Optional[object]] = []
-        for block_id in block_ids:
-            block = self.stash.get(block_id)
-            if block is None:
-                raise BlockNotFoundError(
-                    f"block {block_id} missing from both stash and its path"
-                )
-            if new_payloads is not None and block_id in new_payloads:
-                block.payload = new_payloads[block_id]
-            payloads.append(block.payload)
-
-        # Remap every distinct block of the bin to the path of its *next*
-        # planned occurrence (uniform random when the plan runs out).
-        for block_id in needed:
-            block = self.stash.get(block_id)
-            new_leaf = self._planned_leaf(block_id, after_index=superblock.end_index)
-            block.leaf = new_leaf
-            self.position_map.set(block_id, new_leaf)
-
-        self._write_back_many(read_leaves)
-
-        self._trace_cursor = superblock.end_index + 1
-        self._maybe_background_evict()
-        self.counter.observe_stash(len(self.stash))
-        return payloads

@@ -24,18 +24,17 @@ def run_engine_on_trace(
 
     LAORAM clients (both the per-object and the array-backed engine) consume
     the trace through their lookahead pipeline (preprocessing plus
-    superblock-granularity accesses); engines configured with a batch size
-    go through the chunked batched protocol; every other tree engine runs
-    the whole trace through its fused ``run_trace`` driver.
+    superblock-granularity accesses); every other engine takes it through
+    ``access_many``, which tree engines serve with the chunked batched
+    protocol when configured with a batch size and with their fused
+    ``run_trace`` driver otherwise.
     """
     if record_stash_history and hasattr(engine, "counter"):
         engine.counter.record_stash_history = True
     if isinstance(engine, LookaheadClientMixin):
         engine.run_trace(trace.addresses)
-    elif getattr(engine, "batch_size", None) or not hasattr(engine, "run_trace"):
-        engine.access_many(trace.addresses)
     else:
-        engine.run_trace(trace.addresses)
+        engine.access_many(trace.addresses)
     snapshot = engine.statistics
     history: tuple[int, ...] = ()
     if record_stash_history and hasattr(engine, "counter"):

@@ -155,10 +155,8 @@ def _shard_worker(
                                     local_trace,
                                     reinitialize_placement=reinitialize_placement,
                                 )
-                            elif engine.batch_size:
-                                engine.access_many(local_trace)
                             else:
-                                engine.run_trace(local_trace)
+                                engine.access_many(local_trace)
                         states[shard_id] = _shard_state(
                             engine, local_trace.size, pools[shard_id].registry()
                         )
@@ -169,13 +167,7 @@ def _shard_worker(
                     count = 0
                     for shard_id, local_ids in routed.items():
                         current_shard = shard_id
-                        engine = engines[shard_id]
-                        if isinstance(engine, LookaheadClientMixin) or (
-                            engine.batch_size
-                        ):
-                            engine.access_many(local_ids)
-                        else:
-                            engine.run_trace(local_ids)
+                        engines[shard_id].access_many(local_ids)
                         count += len(local_ids)
                     current_shard = -1
                     responses.put(("served", request_id, count))

@@ -212,10 +212,8 @@ class ShardedRunner:
                     engine.run_trace(
                         local_trace, reinitialize_placement=reinitialize_placement
                     )
-                elif engine.batch_size:
-                    engine.access_many(local_trace)
                 else:
-                    engine.run_trace(local_trace)
+                    engine.access_many(local_trace)
             self._results.append(
                 ShardResult(
                     shard_id=shard_id,

@@ -25,6 +25,7 @@ a fixed seed.  That equivalence is enforced per family by
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -329,13 +330,15 @@ class TreeORAMEngine(ObliviousMemory):
     ) -> list[Optional[object]]:
         """Serve one batch of accesses with grouped reads and write-backs.
 
-        The batched protocol mirrors LAORAM's superblock execution on a
-        plan-free engine: blocks already in the stash are served for free,
-        the rest are grouped by their current path (first-encounter order)
-        and every distinct path is fetched once, each distinct block is
-        remapped uniformly, and all fetched paths are written back together
-        through :meth:`_write_back_many`.  Every step runs through the
-        storage hooks, so the reference and array backends execute it
+        Blocks already in the stash are served for free, the rest are
+        grouped by their current path (first-encounter order) and every
+        distinct path is fetched once, each distinct block is remapped via
+        :meth:`_choose_new_leaf` in first-occurrence order, and all fetched
+        paths are written back together through :meth:`_write_back_many`.
+        This is also LAORAM's superblock step: its mixin serves every bin
+        here, with ``_choose_new_leaf`` answering from the lookahead plan
+        instead of a uniform draw.  Every step runs through the storage
+        hooks, so the reference and array backends execute it
         decision-for-decision identically.
         """
         # oblivious: allow[OBL001] batch emptiness equals the public batch size
@@ -346,12 +349,13 @@ class TreeORAMEngine(ObliviousMemory):
         self.counter.record_logical_access(len(block_ids))
         self.timing.charge_client_overhead(len(block_ids))
 
-        needed = list(dict.fromkeys(block_ids))
+        # One handle per distinct block, in first-occurrence order.
+        handles = {block_id: self._stash_lookup(block_id) for block_id in block_ids}
         # oblivious: allow[OBL001] the batched protocol fetches only the miss
         # set's distinct paths by design (LAORAM superblock-style grouped
         # read); the per-batch path count is the protocol's observable
-        missing = [b for b in needed if self._stash_lookup(b) is None]
-        self._stash_hits += len(needed) - len(missing)
+        missing = [b for b, handle in handles.items() if handle is None]
+        self._stash_hits += len(handles) - len(missing)
         read_leaves: list[int] = []
         # oblivious: allow[OBL001] grouped fetch over the deduped miss set;
         # see the comprehension above
@@ -366,24 +370,30 @@ class TreeORAMEngine(ObliviousMemory):
             # oblivious: allow[OBL002] post-fetch integrity sweep of the same
             # miss set; failures abort the run loudly
             for block_id in missing:
+                handle = self._stash_lookup(block_id)
                 # oblivious: allow[OBL001] integrity check; aborts the run
-                if self._stash_lookup(block_id) is None:
+                if handle is None:
                     raise BlockNotFoundError(
                         f"block {block_id} missing from both stash and its path"
                     )
+                handles[block_id] = handle
 
+        serve = self._serve
         payloads: list[Optional[object]] = []
         for block_id in block_ids:
-            handle = self._stash_lookup(block_id)
+            handle = handles[block_id]
             # oblivious: allow[OBL001] client-side payload routing; serving
             # from the stash handle touches no server-visible state
             if new_payloads is not None and block_id in new_payloads:
-                payloads.append(self._serve(handle, AccessOp.WRITE, new_payloads[block_id]))
+                payloads.append(serve(handle, AccessOp.WRITE, new_payloads[block_id]))
             else:
-                payloads.append(self._serve(handle, AccessOp.READ, None))
+                payloads.append(serve(handle, AccessOp.READ, None))
 
-        for block_id in needed:
-            self._remap(self._stash_lookup(block_id))
+        remap = self._remap
+        # oblivious: allow[OBL002] one remap per distinct requested id: the
+        # trip count is the request's distinct-id count, not stash content
+        for handle in handles.values():
+            remap(handle)
 
         self._write_back_many(read_leaves)
         self._maybe_background_evict()
@@ -580,8 +590,13 @@ class TreeORAMEngine(ObliviousMemory):
         """Remove ``block_id`` from a bucket on the path (RingORAM online read)."""
         raise NotImplementedError
 
-    def _relayout_tree(self) -> None:
-        """Rebuild the tree layout under the current position map (setup only)."""
+    def _relayout_tree(self, by_id: bool = False) -> None:
+        """Rebuild the tree layout under the current position map (setup only).
+
+        Blocks are re-placed as deep as possible on their paths, in
+        tree-iteration order (bucket index, then slot) followed by stash
+        order, or in block-id order with ``by_id`` (the bulk-load order).
+        """
         raise NotImplementedError
 
 
@@ -686,21 +701,20 @@ class ObjectStorageEngine(TreeORAMEngine):
                 return block
         return None
 
-    def _relayout_tree(self) -> None:
+    def _relayout_tree(self, by_id: bool = False) -> None:
         """Re-place every block under the current position map (trusted setup).
 
         Blocks are taken in tree-iteration order (bucket index, then slot)
-        followed by stash insertion order, exactly the order the array
-        backend replays, so both backends produce the same layout.
+        followed by stash insertion order, or sorted by id, exactly the
+        orders the array backend replays, so both backends produce the same
+        layout.  Payloads travel with their blocks.
         """
-        blocks = list(self.tree.iter_blocks()) + [
-            self.stash.pop(block_id) for block_id in self.stash.block_ids
-        ]
+        blocks = list(self.tree.iter_blocks()) + list(self.stash)
+        if by_id:
+            blocks.sort(key=attrgetter("block_id"))
         self.tree = self._make_tree()
         self.stash.clear()
         for block in blocks:
-            if block is None:
-                continue
             block.leaf = self.position_map.peek(block.block_id)
             if not self.tree.try_place_on_path(block):
                 self.stash.add(block)
@@ -1360,7 +1374,7 @@ class ArrayStorageEngine(TreeORAMEngine):
             return block_id
         return None
 
-    def _relayout_tree(self) -> None:
+    def _relayout_tree(self, by_id: bool = False) -> None:
         """Re-place every block under the current position map (trusted setup).
 
         Replays the per-object relayout exactly — blocks are taken in
@@ -1368,10 +1382,16 @@ class ArrayStorageEngine(TreeORAMEngine):
         insertion order, and each is placed as deep as possible on its
         (updated) path — but runs it as one priority-ordered bulk placement
         (:meth:`ArrayTreeStorage.bulk_place_ordered`) instead of a scalar
-        ``try_place_id`` per block, so PrORAM's static superblock relayout
-        at setup is a handful of vectorized passes.  Overflow enters the
-        stash in the same priority order the scalar loop would have used.
+        placement per block, so PrORAM's static superblock relayout at setup
+        is a handful of vectorized passes.  Overflow enters the stash in the
+        same priority order the scalar loop would have used.  Every block is
+        present, so block-id order (``by_id``) is the initial bulk load.
         """
+        if by_id:
+            self.tree = self._make_tree()
+            self.stash.clear()
+            self._bulk_load()
+            return
         ordered = np.concatenate(
             [
                 self.tree.all_block_ids(),

@@ -68,7 +68,7 @@ class PositionMap:
     def get(self, block_id: int) -> int:
         """Current leaf of ``block_id``."""
         self._check(block_id)
-        return int(self._leaves[block_id])
+        return self._leaves.item(block_id)
 
     def set(self, block_id: int, leaf: int) -> None:
         """Reassign ``block_id`` to ``leaf``."""

@@ -142,7 +142,7 @@ class ArrayStash:
         return self._live
 
     def __contains__(self, block_id: int) -> bool:
-        return bool(self._row_of[block_id] >= 0)
+        return self._row_of.item(block_id) >= 0
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.block_ids)
@@ -271,7 +271,7 @@ class ArrayStash:
 
     def set_leaf(self, block_id: int, leaf: int) -> None:
         """Update the assigned leaf of a stashed block (remap)."""
-        row = self._row_of[block_id]
+        row = self._row_of.item(block_id)
         if row < 0:
             raise KeyError(f"block {block_id} not in stash")
         self._leaves[row] = leaf

@@ -299,12 +299,6 @@ class ArrayTreeStorage:
     # ------------------------------------------------------------------
     # Path operations
     # ------------------------------------------------------------------
-    def free_slots(self, level: int, node: int) -> int:
-        """Free capacity of the bucket ``node`` at ``level``."""
-        return self.bucket_capacities[level] - int(
-            self._occ[((1 << level) - 1) + node]
-        )
-
     def _fill_path_slots(self, leaf: int) -> np.ndarray:
         """Fill and return the scratch array of the path's flat slot indices.
 
@@ -358,56 +352,6 @@ class ArrayTreeStorage:
         mask = self._scratch_mask
         np.greater_equal(gathered, 0, out=mask)
         return gathered[mask]
-
-    def read_path_ids_lazy(self, leaf: int) -> np.ndarray:
-        """:meth:`read_path_ids` minus the occupancy bookkeeping.
-
-        Empties the path's slots and returns its real block ids, but leaves
-        ``bucket_occupancies`` stale.  For callers that never read occupancy
-        between path operations: record the touched leaves and settle the
-        books once with :meth:`rebuild_path_occupancies`.  The fused trace
-        drivers tried this and went back to eager maintenance — the
-        vectorized settle amortizes to ~4.5 us/access over a long trace,
-        triple the per-read scatter it saves — but the pair remains correct
-        and is the right shape for short bursts over few distinct paths.
-        """
-        slot_idx = self._fill_path_slots(leaf)
-        gathered = self._scratch_gather
-        self._slots.take(slot_idx, out=gathered)
-        self._slots[slot_idx] = -1
-        mask = self._scratch_mask
-        np.greater_equal(gathered, 0, out=mask)
-        return gathered[mask]
-
-    def rebuild_path_occupancies(self, leaves: Sequence[int]) -> None:
-        """Recompute occupancy for every bucket on the paths to ``leaves``.
-
-        Settles the books after :meth:`read_path_ids_lazy` calls.  Greedy
-        placement packs each bucket's real ids in front of its slot range,
-        so a bucket's occupancy is exactly its real-slot count — the values
-        written here are bit-identical to the per-path scatters they
-        replace, computed in one vectorized pass over the touched buckets
-        only (duplicate leaves collapse via ``np.unique``).
-        """
-        if not len(leaves):
-            return
-        arr = np.asarray(leaves, dtype=np.int64)
-        nodes = (arr[:, None] >> self._node_shift) + self._node_base
-        uniq = np.unique(nodes)
-        # level(node) = bit_length(node + 1) - 1, via frexp's exponent
-        # (exact far below 2^53, same trick as the batched planner).
-        exp = np.empty(uniq.shape, dtype=np.intc)
-        np.frexp(uniq + 1, np.empty(uniq.shape, dtype=np.float64), exp)
-        lvl = exp.astype(np.int64) - 1
-        caps = np.asarray(self.bucket_capacities, dtype=np.int64)[lvl]
-        bases = np.asarray(self._level_base, dtype=np.int64)[lvl]
-        start = bases + (uniq - ((np.int64(1) << lvl) - 1)) * caps
-        width = int(caps.max())
-        offsets = np.arange(width, dtype=np.int64)
-        valid = offsets[None, :] < caps[:, None]
-        grid = start[:, None] + offsets[None, :]
-        vals = self._slots[np.where(valid, grid, 0)]
-        self._occ[uniq] = ((vals >= 0) & valid).sum(axis=1)
 
     def read_paths_ids(self, leaves: np.ndarray) -> np.ndarray:
         """Remove and return every real block id on the paths to ``leaves``.
@@ -486,24 +430,6 @@ class ArrayTreeStorage:
         self._occ[bucket] = occ - 1
         return True
 
-    def try_place_id(self, block_id: int, leaf: int) -> bool:
-        """Place ``block_id`` as deep as possible on its path; False if full.
-
-        Scalar counterpart of :meth:`bulk_place` matching
-        :meth:`TreeStorage.try_place_on_path` (used by trusted-setup
-        relayouts that must replay a specific placement order).
-        """
-        for level in range(self.depth, -1, -1):
-            capacity = self.bucket_capacities[level]
-            node = leaf >> (self.depth - level)
-            bucket = ((1 << level) - 1) + node
-            occ = int(self._occ[bucket])
-            if occ < capacity:
-                self._slots[self._level_base[level] + node * capacity + occ] = block_id
-                self._occ[bucket] = occ + 1
-                return True
-        return False
-
     def path_state(self, leaf: int) -> tuple[np.ndarray, list[int]]:
         """Bucket indices and current occupancies of the path to ``leaf``.
 
@@ -561,23 +487,6 @@ class ArrayTreeStorage:
         self._slots[slot_indices] = values
         self._occ[buckets] = occupancies
 
-    def write_level(self, level: int, node: int, block_ids: Sequence[int]) -> None:
-        """Append ``block_ids`` to the bucket ``node`` at ``level``."""
-        count = len(block_ids)
-        if count == 0:
-            return
-        capacity = self.bucket_capacities[level]
-        bucket = ((1 << level) - 1) + node
-        occ = int(self._occ[bucket])
-        if occ + count > capacity:
-            raise ConfigurationError(
-                f"placement overflows bucket at level {level}: "
-                f"{occ} + {count} > {capacity}"
-            )
-        start = self._level_base[level] + node * capacity + occ
-        self._slots[start : start + count] = block_ids
-        self._occ[bucket] = occ + count
-
     # ------------------------------------------------------------------
     # Bulk operations / diagnostics
     # ------------------------------------------------------------------
@@ -604,12 +513,12 @@ class ArrayTreeStorage:
         ``leaves[i]`` is ``block_ids[i]``'s assigned path; earlier sequence
         positions win contested slots.  Returns the ids that found no free
         slot on their path, in sequence order.  Equivalent to calling
-        :meth:`try_place_id` for every id in sequence order, but runs one
-        vectorized pass per level: at each level the surviving blocks are
-        grouped by bucket and the first ``free`` (by priority) of each
-        bucket claim its slots — placements at different levels never
-        interact, so processing levels deep-to-root with priority preserved
-        reproduces the scalar loop exactly.
+        :meth:`TreeStorage.try_place_on_path` for every id in sequence
+        order, but runs one vectorized pass per level: at each level the
+        surviving blocks are grouped by bucket and the first ``free`` (by
+        priority) of each bucket claim its slots — placements at different
+        levels never interact, so processing levels deep-to-root with
+        priority preserved reproduces the scalar loop exactly.
         """
         block_ids = np.asarray(block_ids, dtype=np.int64)
         leaves = np.asarray(leaves, dtype=np.int64)
@@ -622,12 +531,17 @@ class ArrayTreeStorage:
             level_ids = self._level_slots(level)
             level_occ = self._level_occ(level)
             nodes = leaves[remaining] >> (self.depth - level)
-            order = np.argsort(nodes, kind="stable")
+            # (node, position) keys are unique, so a plain sort yields the
+            # stable by-node order at a fraction of a stable sort's cost.
+            order = np.argsort(nodes * block_ids.size + remaining)
             sorted_pos = remaining[order]
             sorted_nodes = nodes[order]
-            uniq, starts, counts = np.unique(
-                sorted_nodes, return_index=True, return_counts=True
-            )
+            first = np.empty(sorted_nodes.size, dtype=bool)
+            first[0] = True
+            np.not_equal(sorted_nodes[1:], sorted_nodes[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            uniq = sorted_nodes[starts]
+            counts = np.diff(starts, append=sorted_nodes.size)
             rank = np.arange(sorted_pos.size, dtype=np.int64) - np.repeat(
                 starts, counts
             )

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
+from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.core.superblock import SuperblockBin
 from repro.datasets.permutation import PermutationTraceGenerator
+from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError
+from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.path_oram import PathORAM
 
@@ -165,3 +168,67 @@ class TestPlanFallback:
         before = client.trace_cursor
         client.read(1)
         assert client.trace_cursor == before + 1
+
+
+def _oracle_config(recursive: bool) -> LAORAMConfig:
+    # chi=4 over 256 blocks with a 256-byte cutoff builds two recursion
+    # levels, so remaps go through charged recursive position-map walks.
+    return LAORAMConfig(
+        oram=ORAMConfig(
+            num_blocks=256,
+            block_size_bytes=32,
+            seed=17,
+            recursive_posmap=recursive,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=256,
+        ),
+        superblock_size=4,
+    )
+
+
+class TestPrecomputedRemapOracle:
+    """``run_trace`` (precomputed remaps) == the plan executed bin by bin.
+
+    ``run_trace`` hands each bin the leaves of ``plan_bin_remaps()``;
+    ``access_superblock`` asks the plan with ``consume_next_leaf`` per
+    remap.  Both must make the same decisions on either backend and with
+    either position map.
+    """
+
+    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("recursive", [False, True])
+    def test_run_trace_matches_bin_by_bin_execution(self, engine_cls, recursive):
+        trace = ZipfTraceGenerator(256, exponent=1.2, seed=9).generate(1500).addresses
+        fused = engine_cls(_oracle_config(recursive))
+        fused.run_trace(trace)
+
+        stepped = engine_cls(_oracle_config(recursive))
+        plan = stepped.preprocess(trace)
+        stepped.apply_initial_placement(plan)
+        for superblock in plan.bins:
+            stepped.access_superblock(superblock)
+
+        assert fused.statistics == stepped.statistics
+        assert np.array_equal(
+            fused.position_map.as_array(), stepped.position_map.as_array()
+        )
+        assert fused.stash.block_ids == stepped.stash.block_ids
+        assert fused.trace_cursor == stepped.trace_cursor == trace.size
+        # The consumption state left in the plan must agree too: later
+        # reassignments get the same answers.
+        later = [fused.plan.consume_next_leaf(b, -1) for b in range(256)]
+        assert later == [plan.consume_next_leaf(b, -1) for b in range(256)]
+        if recursive:
+            assert fused.statistics.posmap_path_reads > 0
+
+
+class TestRunTraceSignature:
+    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    def test_positional_ops_argument_is_rejected(self, config, engine_cls):
+        # The base contract is run_trace(block_ids, ops, payloads); a
+        # positional op must not be taken for ``reinitialize_placement``
+        # and silently turn a write trace into reads.
+        client = engine_cls(config)
+        with pytest.raises(TypeError):
+            client.run_trace([1, 2, 3, 4], AccessOp.WRITE)
+        assert client.statistics.logical_accesses == 0
