@@ -132,8 +132,11 @@ def run_engine(
 
 
 #: profile-mode phase -> engine/counter attributes wrapped with a timer.
-#: Each name is wrapped where it exists; outermost-call accounting keeps a
-#: phase from double-counting when one wrapped hook calls another (e.g.
+#: Each name is wrapped where it exists (``_online_read`` only on RingORAM,
+#: say), but every name must exist on at least one family's engine — profile
+#: mode refuses to run otherwise, so a renamed hook cannot silently drop out
+#: of the breakdown.  Outermost-call accounting keeps a phase from
+#: double-counting when one wrapped hook calls another (e.g.
 #: ``_write_back`` -> ``_commit_write_back``).
 PROFILE_PHASES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("posmap_lookup", ("position_map.get",)),
@@ -149,13 +152,36 @@ PROFILE_PHASES: tuple[tuple[str, tuple[str, ...]], ...] = (
             "counter.record_logical_access",
             "counter.record_path_read",
             "counter.record_path_write",
-            "counter.record_dummy_read",
             "counter.observe_stash",
             "timing.charge_path_transfer",
             "timing.charge_client_overhead",
         ),
     ),
 )
+
+
+def _resolve_hook(engine, name: str):
+    """``(owner, attribute, bound callable or None)`` for a profile name."""
+    owner = engine
+    attr = name
+    if "." in name:
+        prefix, attr = name.split(".", 1)
+        owner = getattr(engine, prefix, None)
+    return owner, attr, getattr(owner, attr, None)
+
+
+def _unresolved_profile_hooks() -> list[str]:
+    """``PROFILE_PHASES`` names that exist on no family's fast engine."""
+    config = ORAMConfig(num_blocks=64, seed=0)
+    engines = [
+        build_engine(label, config, fast=True) for label, _ in FAMILY_GATES.values()
+    ]
+    return [
+        name
+        for _, names in PROFILE_PHASES
+        for name in names
+        if all(_resolve_hook(engine, name)[2] is None for engine in engines)
+    ]
 
 
 def _instrument_phases(engine) -> dict[str, float]:
@@ -170,12 +196,7 @@ def _instrument_phases(engine) -> dict[str, float]:
         phases[phase] = 0.0
         depth = [0]
         for name in names:
-            owner = engine
-            attr = name
-            if "." in name:
-                prefix, attr = name.split(".", 1)
-                owner = getattr(engine, prefix, None)
-            func = getattr(owner, attr, None)
+            owner, attr, func = _resolve_hook(engine, name)
             if func is None:
                 continue
 
@@ -884,6 +905,15 @@ def main(argv=None) -> int:
         f"zipf trace: {num_accesses} accesses over {num_blocks} blocks "
         f"(depth {oram_config.depth}), families: {', '.join(args.families)}"
     )
+
+    if args.mode == "profile" and not args.smoke:
+        unresolved = _unresolved_profile_hooks()
+        if unresolved:
+            print(
+                "FAIL: profile hooks defined on no engine: "
+                + ", ".join(unresolved)
+            )
+            return 1
 
     failed = False
     results: list[dict] = []

@@ -10,6 +10,7 @@ and performance contracts at the source level:
 * ALLOC001 — the fused trace drivers stay allocation-free in steady state.
 * API001 — protocol mixins declare ``SUPPORTS_BATCHED_ACCESS``.
 * CNT001 — fused drivers flush deferred counters on all exit paths.
+* MAN001 — every manifest entry names a function that exists.
 
 Run with ``python -m repro.analysis [paths] --baseline
 .analysis-baseline.json``; see ``docs/static_analysis.md``.

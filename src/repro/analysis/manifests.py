@@ -6,7 +6,7 @@ states it explicitly, per engine module:
 
 * :class:`ModuleSources` — the taint *sources* of one module: parameter
   names that carry secrets (request block ids), attribute suffixes whose
-  values are secret (position-map leaf arrays, stash id/leaf rows), calls
+  values are secret (position-map leaf arrays, the stash), calls
   whose results are secret (position-map lookups, stash lookups), and the
   *declassifier* calls after which a leaf argument is public (the protocol
   has just read that path, so the adversary saw it).
@@ -182,7 +182,7 @@ _PATH_REVEAL = (
 
 _ENGINE_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids", "stash_map", "pm", "groups"}),
-    attrs=frozenset({"position_map.leaves", "id_rows", "leaf_rows", "stash"}),
+    attrs=frozenset({"position_map.leaves", "stash"}),
     calls=frozenset({"position_map.get", "_stash_lookup", "_stash_detach"}),
     declassifiers=_PATH_REVEAL,
 )
@@ -192,8 +192,6 @@ _PRORAM_SOURCES = ModuleSources(
     attrs=frozenset(
         {
             "position_map.leaves",
-            "id_rows",
-            "leaf_rows",
             "stash",
             "_locality_counters",
             "_merged_groups",
@@ -207,7 +205,7 @@ _PRORAM_SOURCES = ModuleSources(
 
 _WRITE_BACK_SOURCES = ModuleSources(
     params=frozenset({"stash", "stash_map"}),
-    attrs=frozenset({"id_rows", "leaf_rows"}),
+    attrs=frozenset(),
     calls=frozenset(),
     declassifiers=(),
 )
@@ -254,9 +252,6 @@ def default_config() -> AnalysisConfig:
                 "ArrayStorageEngine._read_paths_into_stash",
                 "ArrayStorageEngine._write_back_many",
                 "ArrayStorageEngine._commit_write_back",
-                "ArrayStorageEngine._commit_write_back_scalar",
-                "ArrayStorageEngine._commit_write_back_vector",
-                "ArrayStorageEngine._select_and_commit",
                 "_fused_fetch",
             ),
             "repro/oram/ring_oram.py": (
@@ -372,11 +367,12 @@ def default_config() -> AnalysisConfig:
             ),
             Declassification(
                 "repro/oram/engine.py",
-                "ArrayStorageEngine._commit_write_back*",
+                "ArrayStorageEngine._commit_write_back",
                 ("OBL001", "OBL002"),
-                "client-side write-back planning over stash rows (see "
-                "plan_greedy_write_back); observable path write is charged "
-                "in full either way",
+                "client-side greedy write-back over the dict stash (see "
+                "plan_greedy_write_back); committed slot indices derive from "
+                "the already-revealed path leaf and the path write is "
+                "charged in full either way",
             ),
             Declassification(
                 "repro/core/laoram.py",
@@ -387,13 +383,6 @@ def default_config() -> AnalysisConfig:
                 "drawn uniformly and independently of the block id (every bin "
                 "path is an independent uniform draw), so the next observed "
                 "path is distributed as in PathORAM either way",
-            ),
-            Declassification(
-                "repro/oram/engine.py",
-                "ArrayStorageEngine._select_and_commit",
-                ("OBL001", "OBL002"),
-                "client-side greedy selection; committed slot indices derive "
-                "from the already-revealed path leaf",
             ),
         ),
     )

@@ -12,6 +12,8 @@ Rule inventory (ids are stable; see ``docs/static_analysis.md``):
   (:mod:`.api`).
 * CNT001 — fused drivers without a finally-guarded ``add_bulk`` flush
   (:mod:`.counters`).
+* MAN001 — manifest entries (hot-function lists, declassifications) that
+  match no function in their module (:mod:`.manifest`).
 * SUP001 — malformed or reason-less inline suppressions (emitted by the
   driver in :mod:`repro.analysis.core`, not a rule class).
 """
@@ -20,8 +22,9 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     alloc,
     api,
     counters,
+    manifest,
     obliviousness,
     rng,
 )
 
-__all__ = ["alloc", "api", "counters", "obliviousness", "rng"]
+__all__ = ["alloc", "api", "counters", "manifest", "obliviousness", "rng"]

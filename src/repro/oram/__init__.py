@@ -3,8 +3,8 @@
 Every tree-based scheme ships in two decision-identical flavours built on
 the shared :mod:`repro.oram.engine` core: a per-object reference (dict
 stash, Block objects) and a vectorized array twin
-(:class:`ArrayTreeStorage` slot arrays plus an :class:`ArrayStash` of
-id/leaf rows) that produces bit-identical traffic counters for a fixed
+(:class:`ArrayTreeStorage` slot arrays plus a plain ``{id: leaf}`` dict
+stash) that produces bit-identical traffic counters for a fixed
 seed — :class:`PathORAM`/:class:`ArrayPathORAM`,
 :class:`RingORAM`/:class:`ArrayRingORAM`,
 :class:`PrORAM`/:class:`ArrayPrORAM`.
@@ -21,7 +21,7 @@ from repro.oram.position_map import PositionMap
 from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
 from repro.oram.recursive_posmap import RecursivePositionMap
 from repro.oram.ring_oram import ArrayRingORAM, RingORAM
-from repro.oram.stash import ArrayStash, Stash
+from repro.oram.stash import Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "RingORAM",
     "ArrayRingORAM",
     "Stash",
-    "ArrayStash",
     "TreeStorage",
     "ArrayTreeStorage",
 ]

@@ -8,10 +8,9 @@ and client state as numpy arrays:
 
 * the tree is an :class:`~repro.oram.tree.ArrayTreeStorage` (one ``int64``
   slot matrix + occupancy vector per level);
-* the stash is an :class:`~repro.oram.stash.ArrayStash` (parallel id/leaf
-  row arrays in insertion order with a dense id->row index, so the greedy
-  write-back planner scans contiguous memory instead of rebuilding arrays
-  from a dict on every path);
+* the stash is a plain insertion-ordered ``dict`` of block id -> assigned
+  leaf, which the fused trace drivers and every storage hook work on
+  directly;
 * the position map is the dense :class:`~repro.oram.position_map.PositionMap`
   array, the source of truth for every block's leaf; the stash mirrors the
   leaves of resident blocks so write-back planning needs no gather;

@@ -8,9 +8,9 @@ over one of two storage representations:
 * :class:`ObjectStorageEngine` keeps :class:`~repro.memory.block.Block`
   objects in per-bucket lists and a dict stash (the reference engines);
 * :class:`ArrayStorageEngine` keeps block ids in
-  :class:`~repro.oram.tree.ArrayTreeStorage` slot arrays and an
-  :class:`~repro.oram.stash.ArrayStash` of id/leaf rows, with payloads in a
-  client-side store (the vectorized engines).
+  :class:`~repro.oram.tree.ArrayTreeStorage` slot arrays and a plain
+  ``{id: leaf}`` dict stash, with payloads in a client-side store (the
+  vectorized engines).
 
 :class:`TreeORAMEngine` owns the control flow and all counter/timing
 charges; backends implement a small set of storage hooks (``_fetch_path``,
@@ -44,7 +44,7 @@ from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
 from repro.oram.recursive_posmap import RecursivePositionMap
 from repro.oram.shm import ArrayAllocator
-from repro.oram.stash import ArrayStash, Stash
+from repro.oram.stash import Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
     fused_greedy_write_back,
@@ -111,8 +111,8 @@ class TreeORAMEngine(ObliviousMemory):
         self.observer = observer
         self.batch_size = batch_size
         # Array allocation hook: a shared-memory pool here puts the tree
-        # slots, stash rows and position map into attachable segments so a
-        # parent process can snapshot shard state without serialization.
+        # slots and the position map into attachable segments so a parent
+        # process can snapshot shard state without serialization.
         self.allocator = allocator
         self.tree = self._make_tree()
         self.stash = self._make_stash()
@@ -512,8 +512,9 @@ class TreeORAMEngine(ObliviousMemory):
         return self.tree.real_block_count() + len(self.stash)
 
     #: Client-side bookkeeping per stashed block: the (id, leaf) pair the
-    #: stash tracks alongside the payload (two int64 rows in ``ArrayStash``,
-    #: the equivalent attributes on a per-object ``Block``).
+    #: stash tracks alongside the payload (one dict entry on the array
+    #: backend, the equivalent attributes on a per-object ``Block``), counted
+    #: as two int64 words.
     STASH_ENTRY_OVERHEAD_BYTES = 16
 
     def client_memory_bytes(self) -> int:
@@ -721,7 +722,7 @@ class ObjectStorageEngine(TreeORAMEngine):
 
 
 def _fused_fetch(read_ids, pm, stash_map, leaf):
-    """Read one path into a dict stash mirror (fused trace drivers).
+    """Read one path into the dict stash (fused trace drivers).
 
     ``read_ids`` empties the path and returns its real block ids, compacted
     by one vectorized mask so only the real blocks a path carries are
@@ -729,9 +730,8 @@ def _fused_fetch(read_ids, pm, stash_map, leaf):
     ``take`` and the dict absorbs the pairs via C-level ``update(zip(...))``
     — marginally ahead of a per-id ``pm.item`` loop at PathORAM's ~9 real
     ids per path and clearly ahead on RingORAM evict paths, which carry
-    several times that.  Compaction preserves root-to-leaf slot order, so
-    dict insertion order is exactly the row order ``append_rows`` would
-    have produced.
+    several times that.  Compaction preserves root-to-leaf slot order, the
+    order :meth:`ArrayStorageEngine._fetch_path` inserts in.
     """
     ids = read_ids(leaf)
     stash_map.update(zip(ids.tolist(), pm.take(ids).tolist()))
@@ -743,12 +743,15 @@ _fused_write_back = fused_greedy_write_back
 
 
 class ArrayStorageEngine(TreeORAMEngine):
-    """Array storage backend: id slot arrays, row stash, client payload store.
+    """Array storage backend: id slot arrays, dict stash, client payload store.
 
-    The handle for a stashed block is its integer id; payloads live in a
-    client-side dict (payload location never affects traffic, so keeping it
-    out of the simulated server removes all per-block object churn from the
-    hot path).
+    The handle for a stashed block is its integer id.  The stash is a plain
+    insertion-ordered ``dict`` of block id -> assigned leaf (all Python
+    ints), which every hook below and the fused trace drivers work on
+    directly; its iteration order is the reference stash's, so write-back
+    victims match.  Payloads live in a client-side dict (payload location
+    never affects traffic, so keeping it out of the simulated server
+    removes all per-block object churn from the hot path).
     """
 
     #: The array backend prefetches leaf draws in blocks (see
@@ -758,12 +761,6 @@ class ArrayStorageEngine(TreeORAMEngine):
     def __init__(self, config: ORAMConfig, **kwargs):
         super().__init__(config, **kwargs)
         self._payloads: dict[int, object] = {}
-        # Scratch buffers for the write-back planner (sized to the stash's
-        # row count on demand) so the per-path xor/frexp pass allocates
-        # nothing.
-        self._wb_xor = np.empty(256, dtype=np.int64)
-        self._wb_mant = np.empty(256, dtype=np.float64)
-        self._wb_bitlen = np.empty(256, dtype=np.intc)
         self._bulk_load()
 
     # -- construction ---------------------------------------------------
@@ -776,13 +773,8 @@ class ArrayStorageEngine(TreeORAMEngine):
             allocator=self.allocator,
         )
 
-    def _make_stash(self) -> ArrayStash:
-        return ArrayStash(
-            num_blocks=self.config.num_blocks,
-            num_leaves=self.config.num_leaves,
-            capacity=self.config.stash_capacity,
-            allocator=self.allocator,
-        )
+    def _make_stash(self) -> dict[int, int]:
+        return {}
 
     def _bulk_load(self) -> None:
         """Place every block into the tree according to its initial path.
@@ -792,7 +784,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         """
         initial_leaves = self.position_map.as_array()
         overflow = self.tree.bulk_place(initial_leaves)
-        self.stash.append_rows(overflow, initial_leaves[overflow])
+        self._stash_merge(overflow, initial_leaves[overflow])
 
     def load_payloads(self, payloads: dict[int, object]) -> None:
         """Install payloads for blocks during trusted setup (no traffic charged)."""
@@ -804,27 +796,47 @@ class ArrayStorageEngine(TreeORAMEngine):
         self._payloads.update(payloads)
 
     # -- stash hooks ----------------------------------------------------
+    def _check_stash_capacity(self) -> None:
+        """Raise once a merge has pushed the stash past its capacity.
+
+        The check follows the merge, so an overflowing engine still holds
+        every block; the counters match the reference, whose stash raises
+        before the failing path read is charged.
+        """
+        capacity = self.config.stash_capacity
+        if capacity is not None and len(self.stash) > capacity:
+            raise StashOverflowError(
+                f"stash exceeded its capacity of {capacity} blocks"
+            )
+
+    def _stash_merge(self, ids: np.ndarray, leaves: np.ndarray) -> None:
+        """Append fetched id/leaf pairs to the stash, in array order."""
+        if ids.size:
+            self.stash.update(zip(ids.tolist(), leaves.tolist()))
+            self._check_stash_capacity()
+
     def _stash_lookup(self, block_id: int) -> Optional[int]:
         if block_id in self.stash:
             return block_id
         return None
 
     def _stash_detach(self, block_id: int) -> Optional[int]:
-        if self.stash.pop(block_id):
-            return block_id
-        return None
+        if self.stash.pop(block_id, None) is None:
+            return None
+        return block_id
 
     def _stash_reattach(self, handle: int) -> None:
         # peek: the block is in hand (just detached), so its leaf tag is
         # client-readable without an oblivious position-map access.
-        self.stash.add(handle, self.position_map.peek(handle))
+        self._stash_insert(handle, self.position_map.peek(handle))
 
     def _stash_insert(self, handle: int, leaf: int) -> None:
-        self.stash.add(handle, leaf)
+        self.stash[handle] = leaf
+        self._check_stash_capacity()
 
     def _update_leaf(self, block_id: int, leaf: int) -> None:
         self.position_map.set(block_id, leaf)
-        self.stash.set_leaf(block_id, leaf)
+        self.stash[block_id] = leaf
 
     # -- access hooks ---------------------------------------------------
     def _serve(
@@ -835,21 +847,15 @@ class ArrayStorageEngine(TreeORAMEngine):
         return self._payloads.get(handle)
 
     def _remap(self, handle: int) -> None:
-        """Assign the block a fresh path (position map + stash leaf mirror).
-
-        Remap always happens while the block sits in the stash, so both the
-        authoritative position-map entry and the stash's leaf row are
-        updated together.
-        """
+        """Assign the stashed block a fresh path (position map + stash leaf)."""
         leaf = self._choose_new_leaf(handle)
         self.position_map.set(handle, leaf)
-        self.stash.set_leaf(handle, leaf)
+        self.stash[handle] = leaf
 
     def _fetch_path(self, leaf: int) -> None:
         ids = self.tree.read_path_ids(leaf)
-        if ids.size:
-            # peek_many: fetched blocks carry their leaf tags on the wire.
-            self.stash.append_rows(ids, self.position_map.peek_many(ids))
+        # peek_many: fetched blocks carry their leaf tags on the wire.
+        self._stash_merge(ids, self.position_map.peek_many(ids))
 
     def _read_paths_into_stash(
         self, leaves: Sequence[int], dummy: bool = False
@@ -858,17 +864,18 @@ class ArrayStorageEngine(TreeORAMEngine):
 
         :meth:`ArrayTreeStorage.read_paths_ids` returns exactly the ids a
         sequential per-leaf loop would (shared buckets counted at their
-        first path only), in the same order, so one ``append_rows`` leaves
-        the stash bit-identical to the default implementation.  Per-path
-        charges and observer events are preserved one per leaf.
+        first path only), in the same order, so one merge leaves the stash
+        bit-identical to the default implementation.  Per-path charges and
+        observer events are preserved one per leaf.  A capped stash takes
+        the per-path loop, so an overflow raises at the same path, with
+        the same charges, as the sequential reads.
         """
-        if len(leaves) < 2:
+        if len(leaves) < 2 or self.config.stash_capacity is not None:
             for leaf in leaves:
                 self._read_path_into_stash(leaf, dummy=dummy)
             return
         ids = self.tree.read_paths_ids(np.asarray(leaves, dtype=np.int64))
-        if ids.size:
-            self.stash.append_rows(ids, self.position_map.peek_many(ids))
+        self._stash_merge(ids, self.position_map.peek_many(ids))
         observer = self.observer
         for leaf in leaves:
             num_buckets, num_bytes = self.tree.path_cost(leaf)
@@ -914,25 +921,18 @@ class ArrayStorageEngine(TreeORAMEngine):
     ) -> list[Optional[object]]:
         """One-loop execution of a whole trace with zero steady-state allocation.
 
-        The driver mirrors the stash into a plain dict (id -> leaf; dict
-        insertion order is exactly the row stash's insertion order, so every
-        write-back decision is identical), runs the PathORAM access sequence
-        with all attribute lookups hoisted to locals, accumulates counters
-        and simulated time in plain Python scalars, and syncs everything
-        back to the engine's structures on exit.  Steady-state work per
-        access is a handful of in-place numpy calls on preallocated scratch
-        plus pure-Python dict/list operations — no numpy allocation at all.
+        The driver runs the PathORAM access sequence on the engine's own
+        dict stash with all attribute lookups hoisted to locals, accumulates
+        counters and simulated time in plain Python scalars, and flushes
+        them to the engine on exit.  Steady-state work per access is a
+        handful of in-place numpy calls on preallocated scratch plus
+        pure-Python dict/list operations — no numpy allocation at all.
 
         ``before_access(block_id)`` is a per-access protocol hook (PrORAM
         locality tracking): returning truthy routes the access through
-        ``fallback(block_id, op, payload)`` with the engine's real
-        structures fully synced before and re-mirrored after, so arbitrary
-        protocol code can interleave with the fused loop.
-
-        Error paths diverge from the sequential loop in one documented way:
-        the stash-capacity check runs after a path's blocks enter the
-        mirror, whereas ``ArrayStash.append_rows`` raises before appending.
-        State on that error path is synced back faithfully either way.
+        ``fallback(block_id, op, payload)`` with the counters, timing and
+        leaf buffer flushed before and re-read after, so arbitrary protocol
+        code can interleave with the fused loop.
         """
         ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
         n = len(ids)
@@ -945,12 +945,12 @@ class ArrayStorageEngine(TreeORAMEngine):
         num_blocks = self.config.num_blocks
         num_leaves = self._num_leaves
         tree = self.tree
-        stash = self.stash
+        stash_map = self.stash
         counter = self.counter
         timing = self.timing
         eviction = self.eviction
         observer = self.observer
-        capacity = stash.capacity
+        capacity = self.config.stash_capacity
         depth = self._depth
 
         pm = self.position_map.leaves
@@ -986,20 +986,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         trigger = eviction.trigger_threshold
         should_continue = eviction.should_continue
 
-        # Stash mirror: id -> leaf in row (== insertion) order, skipping
-        # holes.  All values are Python ints (bulk tolist), so xor/bit_length
-        # in the write-back stay in C-speed small-int land.
-        stash_map: dict[int, int] = {}
-        tail = stash.tail
-        row_leaves = stash.leaf_rows[:tail].tolist()
-        # oblivious: allow[OBL002] client-local mirror build over private
-        # stash rows; no server traffic is issued here
-        for row, resident in enumerate(stash.id_rows[:tail].tolist()):
-            # oblivious: allow[OBL001] hole-skip in the client-local mirror
-            if resident >= 0:
-                stash_map[resident] = row_leaves[row]
-
-        # Deferred accumulators (flushed by _sync_out, exact under any
+        # Deferred accumulators (flushed by sync_out, exact under any
         # grouping for the ints; the float repeats the per-charge += order
         # so even simulated time is bit-identical).
         logical = path_reads = path_writes = dummy_reads = 0
@@ -1010,19 +997,12 @@ class ArrayStorageEngine(TreeORAMEngine):
         history = counter.stash_history if counter.record_stash_history else None
 
         def sync_out():
-            """Flush every accumulator and mirror back into engine state."""
+            """Flush every accumulator into engine state."""
             nonlocal logical, path_reads, path_writes, dummy_reads
             nonlocal buckets_read, buckets_written, bytes_read, bytes_written
             nonlocal episodes, hits
             self._leaf_buf = leaf_buf
             self._leaf_buf_pos = leaf_pos
-            stash.clear()
-            if stash_map:
-                count = len(stash_map)
-                stash.append_rows(
-                    np.fromiter(stash_map.keys(), np.int64, count),
-                    np.fromiter(stash_map.values(), np.int64, count),
-                )
             counter.add_bulk(
                 logical,
                 path_reads,
@@ -1043,18 +1023,12 @@ class ArrayStorageEngine(TreeORAMEngine):
             hits = 0
 
         def sync_in():
-            """Re-mirror engine state after a fallback access ran on it."""
+            """Re-read engine state after a fallback access ran on it."""
             nonlocal leaf_buf, leaf_pos, stash_peak, elapsed
             leaf_buf = self._leaf_buf
             leaf_pos = self._leaf_buf_pos
             stash_peak = counter.stash_peak
             elapsed = timing.elapsed_s
-            stash_map.clear()
-            tail = stash.tail
-            row_leaves = stash.leaf_rows[:tail].tolist()
-            for row, resident in enumerate(stash.id_rows[:tail].tolist()):
-                if resident >= 0:
-                    stash_map[resident] = row_leaves[row]
 
         try:
             for index in range(n):
@@ -1091,6 +1065,13 @@ class ArrayStorageEngine(TreeORAMEngine):
                 else:
                     leaf = pm_item(block_id)
                     fetch(read_ids, pm, stash_map, leaf)
+                    # oblivious: allow[OBL001] stash-capacity check: overflow
+                    # is PathORAM's stated failure event and aborts the run
+                    # before the read is charged, as in the sequential loop
+                    if capacity is not None and len(stash_map) > capacity:
+                        raise StashOverflowError(
+                            f"stash exceeded its capacity of {capacity} blocks"
+                        )
                     path_reads += 1
                     buckets_read += path_buckets
                     bytes_read += path_bytes
@@ -1101,12 +1082,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                     if block_id not in stash_map:
                         raise BlockNotFoundError(
                             f"block {block_id} missing from both stash and its path"
-                        )
-                    # oblivious: allow[OBL001] stash-capacity check: overflow
-                    # is PathORAM's stated failure event and aborts the run
-                    if capacity is not None and len(stash_map) > capacity:
-                        raise StashOverflowError(
-                            f"stash exceeded its capacity of {capacity} blocks"
                         )
 
                 # Serve from the client payload store, then remap.
@@ -1158,18 +1133,18 @@ class ArrayStorageEngine(TreeORAMEngine):
                         dummy_leaf = leaf_buf[leaf_pos]
                         leaf_pos += 1
                         fetch(read_ids, pm, stash_map, dummy_leaf)
-                        dummy_reads += 1
-                        buckets_read += path_buckets
-                        bytes_read += path_bytes
-                        elapsed += dt_path
-                        if observer is not None:
-                            observer.observe_path(dummy_leaf, dummy=True)
                         # oblivious: allow[OBL001] stash-capacity check:
                         # overflow aborts the run loudly
                         if capacity is not None and len(stash_map) > capacity:
                             raise StashOverflowError(
                                 f"stash exceeded its capacity of {capacity} blocks"
                             )
+                        dummy_reads += 1
+                        buckets_read += path_buckets
+                        bytes_read += path_bytes
+                        elapsed += dt_path
+                        if observer is not None:
+                            observer.observe_path(dummy_leaf, dummy=True)
                         write_back(
                             stash_map,
                             groups,
@@ -1207,139 +1182,70 @@ class ArrayStorageEngine(TreeORAMEngine):
 
     #: Path count below which :meth:`_write_back_many` takes the per-path
     #: loop even with ``batched_write_back`` on.  The batched planner's
-    #: fixed setup (a (k, tail) xor/frexp/argsort pass plus the per-path
-    #: gather matrices) only amortizes across enough paths: measured on
-    #: LAORAM superblock bins at 2^18 (30k-access Zipf trace), per-path wins
-    #: ~4% at k=2, breaks even at k=3, and the planner wins from k=4 up
-    #: (~11% at k=4, ~20% by k=6) — so k<4 falls back.  LAORAM bins with
-    #: lookahead placement read 0-1 paths and never reach the planner;
-    #: PathORAM's 64-access batches read ~40+ paths and always do.
-    BATCHED_WB_MIN_PATHS = 4
+    #: fixed setup (a (k, stash) xor/frexp/argsort pass plus the per-path
+    #: gather matrices) only amortizes across enough paths.  Measured per
+    #: call on identical state (table in docs/performance.md): per-path
+    #: wins on Fat/S4 bins (k <= 4, ~15-35%), PathORAM batches break even at
+    #: k=6 and the planner wins from k=7 (1.08x, ~1.4x by k=16).
+    BATCHED_WB_MIN_PATHS = 7
 
     def _write_back_many(self, leaves: Sequence[int]) -> None:
         """Write back a batch of paths via the cross-path batched planner.
 
         Small batches (below :data:`BATCHED_WB_MIN_PATHS` — including the
         single-leaf case, the overwhelmingly common one for the
-        single-access protocols) keep the tuned per-path planner; larger
-        batches plan the union of paths in one vectorized pass and commit
-        with one scatter into the tree.  Both routes commit bit-identical
-        placements, so the threshold is purely a throughput choice.
+        single-access protocols) keep the per-path greedy write-back;
+        larger batches plan the union of paths in one vectorized pass and
+        commit with one scatter into the tree.  Both routes commit
+        bit-identical placements, so the threshold is purely a throughput
+        choice.
         """
         if len(leaves) < self.BATCHED_WB_MIN_PATHS or not self.batched_write_back:
             for leaf in leaves:
                 self._write_back(leaf)
             return
+        stash = self.stash
         # oblivious: allow[OBL001] client-side planner gate; the batch's paths
         # are written back and charged in full below regardless
-        if len(self.stash):
-            rows, slots, buckets, occupancies = plan_batched_write_back(
-                self.tree, self.stash, leaves
+        if stash:
+            victims, slots, buckets, occupancies = plan_batched_write_back(
+                self.tree, stash, leaves
             )
-            # oblivious: allow[OBL001] client-side plan commit; same full-path
-            # write-back cost either way
-            if rows:
-                chosen_ids = self.stash.id_rows[rows]
-                self.tree.commit_batch_write(slots, chosen_ids, buckets, occupancies)
-                self.stash.remove_rows(rows, chosen_ids)
+            self.tree.commit_batch_write(slots, victims, buckets, occupancies)
+            # oblivious: allow[OBL002] client-side removal of the planned
+            # victims from the stash; the paths' write cost is fixed
+            for victim in victims:
+                del stash[victim]
         for leaf in leaves:
             num_buckets, num_bytes = self.tree.path_cost(leaf)
             self.counter.record_path_write(num_buckets, num_bytes)
             self.timing.charge_path_transfer(num_buckets, num_bytes)
 
-    #: Row count below which the write-back planner runs its scalar path:
-    #: one bulk ``tolist`` plus pure-Python grouping beats ~10 numpy
-    #: dispatches on the tiny stashes the single-path protocols keep.
-    SCALAR_WB_ROWS = 96
-
     def _commit_write_back(self, leaf: int) -> None:
-        """Greedy write-back onto the path to ``leaf``.
+        """Greedy write-back onto the path to ``leaf``: one pass over the stash.
 
-        The selection replicates ``plan_greedy_write_back`` exactly — same
-        eligibility (path-prefix rule), same occupancy awareness and same
-        tie-breaking order.  Two implementations produce the identical
-        choice: a scalar pass for small stashes (PathORAM/RingORAM/PrORAM
-        keep a handful of live rows, where numpy dispatch overhead dominates)
-        and a vectorized xor/frexp pass for large ones (LAORAM superblock
-        bins under eviction pressure).
+        Replicates ``plan_greedy_write_back`` exactly — same eligibility
+        (path-prefix rule), same occupancy awareness and same tie-breaking
+        order.  ``bit_length(leaf xor path)`` groups blocks by deepest
+        common level (xor == 0 -> bit length 0 -> common level == depth);
+        appending in dict order keeps ascending insertion order within a
+        level.  The pool then fills each bucket deepest-first, popping its
+        most recently pooled blocks (LIFO), and the whole path commits in
+        two scatters.
         """
         stash = self.stash
-        if not len(stash):
+        if not stash:
             return
-        if stash.tail <= self.SCALAR_WB_ROWS:
-            self._commit_write_back_scalar(leaf)
-        else:
-            self._commit_write_back_vector(leaf)
-
-    def _commit_write_back_scalar(self, leaf: int) -> None:
-        """Pure-Python grouping over one bulk ``tolist`` of the stash rows.
-
-        bit_length(leaf xor path) groups rows by deepest common level
-        (xor == 0 -> bit length 0 -> common level == depth); appending in
-        row order keeps ascending insertion order within a level, the
-        stable-sort tie-breaking of the vectorized pass.  Holes carry the
-        sentinel leaf whose xor bit length exceeds ``depth``, so they are
-        skipped.
-        """
-        stash = self.stash
+        tree = self.tree
         depth = self._depth
         groups: list[list[int]] = [[] for _ in range(depth + 1)]
-        for row, row_leaf in enumerate(stash.leaf_rows[: stash.tail].tolist()):
-            bitlen = (row_leaf ^ leaf).bit_length()
-            if bitlen <= depth:
-                groups[bitlen].append(row)
-        self._select_and_commit(leaf, groups)
-
-    def _commit_write_back_vector(self, leaf: int) -> None:
-        """Vectorized grouping: one xor/frexp pass over the stash's rows.
-
-        frexp's exponent IS the bit length for non-negative ints (and 0 for
-        0), exact far below 2^53; a stable argsort keeps ascending insertion
-        (row) order within a level, and holes (bit length depth + 2) sort
-        after every real row, so slicing the ordering at the live count
-        drops exactly the holes.
-        """
-        stash = self.stash
-        live = len(stash)
-        depth = self._depth
-        tail = stash.tail
-        n = self._wb_xor.size
-        if n < tail:
-            while n < tail:
-                n *= 2
-            self._wb_xor = np.empty(n, dtype=np.int64)
-            self._wb_mant = np.empty(n, dtype=np.float64)
-            self._wb_bitlen = np.empty(n, dtype=np.intc)
-        xor = self._wb_xor[:tail]
-        bitlen = self._wb_bitlen[:tail]
-        np.bitwise_xor(stash.leaf_rows[:tail], leaf, out=xor)
-        np.frexp(xor, self._wb_mant[:tail], bitlen)
-        grouped = np.argsort(bitlen, kind="stable")[:live].tolist()
-        counts = np.bincount(bitlen, minlength=depth + 1).tolist()
-        groups: list[list[int]] = []
-        cursor = 0
-        for count in counts[: depth + 1]:
-            groups.append(grouped[cursor : cursor + count])
-            cursor += count
-        self._select_and_commit(leaf, groups)
-
-    def _select_and_commit(self, leaf: int, groups: list[list[int]]) -> None:
-        """Greedy LIFO selection shared by the scalar and vector planners.
-
-        ``groups[b]`` holds the stash rows whose leaf-xor bit length is
-        ``b`` (i.e. whose deepest common level with ``leaf`` is
-        ``depth - b``), each in ascending insertion order.  The selection is
-        the identical decision procedure either way, so the two grouping
-        passes cannot drift apart.
-        """
-        tree = self.tree
-        stash = self.stash
-        depth = self._depth
+        for block_id, block_leaf in stash.items():
+            groups[(block_leaf ^ leaf).bit_length()].append(block_id)
         buckets, occupancies = tree.path_state(leaf)
         caps = tree.bucket_capacities
         level_base = tree.level_base
         pool: list[int] = []
-        chosen_rows: list[int] = []
+        chosen_ids: list[int] = []
         chosen_slots: list[int] = []
         for level in range(depth, -1, -1):
             group = groups[depth - level]
@@ -1353,7 +1259,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                 continue
             take = free if free < len(pool) else len(pool)
             # Popping one by one from the pool's tail == reversed slice.
-            chosen_rows.extend(pool[: -take - 1 : -1])
+            chosen_ids.extend(pool[: -take - 1 : -1])
             del pool[-take:]
             slot = (
                 level_base[level]
@@ -1362,12 +1268,11 @@ class ArrayStorageEngine(TreeORAMEngine):
             )
             chosen_slots.extend(range(slot, slot + take))
             occupancies[level] = occupancy + take
-        if chosen_rows:
-            # Capacity is respected by construction (take <= free), so
-            # the whole path commits in two scatters.
-            chosen_ids = stash.id_rows[chosen_rows]
+        if chosen_ids:
+            # Capacity is respected by construction (take <= free).
             tree.commit_path_write(buckets, occupancies, chosen_slots, chosen_ids)
-            stash.remove_rows(chosen_rows, chosen_ids)
+            for victim in chosen_ids:
+                del stash[victim]
 
     def _remove_from_path(self, leaf: int, block_id: int) -> Optional[int]:
         if self.tree.remove_on_path(leaf, block_id):
@@ -1395,7 +1300,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         ordered = np.concatenate(
             [
                 self.tree.all_block_ids(),
-                np.asarray(self.stash.block_ids, dtype=np.int64),
+                np.fromiter(self.stash, np.int64, len(self.stash)),
             ]
         )
         self.tree = self._make_tree()
@@ -1404,5 +1309,4 @@ class ArrayStorageEngine(TreeORAMEngine):
             return
         pm_leaves = self.position_map.as_array()
         overflow = self.tree.bulk_place_ordered(ordered, pm_leaves[ordered])
-        if overflow.size:
-            self.stash.append_rows(overflow, pm_leaves[overflow])
+        self._stash_merge(overflow, pm_leaves[overflow])

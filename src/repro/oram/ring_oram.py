@@ -215,8 +215,8 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
 
     :meth:`run_trace` fuses the whole protocol — online reads, scheduled
     reverse-lexicographic evictions, bucket reshuffles — into one loop over
-    a dict stash mirror with deferred counter/timing aggregation, the same
-    discipline as :meth:`ArrayStorageEngine._run_trace_fused`.
+    the engine's dict stash with deferred counter/timing aggregation, the
+    same discipline as :meth:`ArrayStorageEngine._run_trace_fused`.
     """
 
     def run_trace(
@@ -239,10 +239,10 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         ops=None,
         payloads=None,
     ):
-        """One-loop RingORAM execution over the dict stash mirror.
+        """One-loop RingORAM execution over the engine's dict stash.
 
         Decision-identical to the per-access protocol: detach moves the
-        target out of the mirror, a scheduled evict-path empties the path
+        target out of the stash, a scheduled evict-path empties the path
         before its write-back (so the shared zero-occupancy write-back
         helper applies), and reshuffle checks run against the same bucket
         read counts in the same order.  All counter/timing charges accumulate
@@ -257,11 +257,11 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         num_blocks = self.config.num_blocks
         num_leaves = self._num_leaves
         tree = self.tree
-        stash = self.stash
+        stash_map = self.stash
         counter = self.counter
         timing = self.timing
         observer = self.observer
-        capacity = stash.capacity
+        capacity = self.config.stash_capacity
         depth = self._depth
         evict_rate = self.evict_rate
         dummies_per_bucket = self.dummies_per_bucket
@@ -308,16 +308,6 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         leaf_pos = self._leaf_buf_pos
         access_count = self._access_count
         evict_counter = self._evict_counter
-
-        stash_map = {}
-        tail = stash.tail
-        row_leaves = stash.leaf_rows[:tail].tolist()
-        # oblivious: allow[OBL002] client-local mirror build over private
-        # stash rows; no server traffic is issued here
-        for row, resident in enumerate(stash.id_rows[:tail].tolist()):
-            # oblivious: allow[OBL001] hole-skip in the client-local mirror
-            if resident >= 0:
-                stash_map[resident] = row_leaves[row]
 
         logical = path_reads = path_writes = dummy_reads = 0
         buckets_read = buckets_written = bytes_read = bytes_written = 0
@@ -404,16 +394,16 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                     evict_leaf = reverse_lexicographic_leaf(evict_counter, depth)
                     evict_counter += 1
                     fetch(read_ids, pm, stash_map, evict_leaf)
-                    dummy_reads += 1
-                    buckets_read += path_buckets
-                    bytes_read += path_bytes
-                    elapsed += dt_path
                     # oblivious: allow[OBL001] stash-capacity check: overflow
-                    # aborts the run loudly
+                    # aborts the run loudly, before the evict read is charged
                     if capacity is not None and len(stash_map) > capacity:
                         raise StashOverflowError(
                             f"stash exceeded its capacity of {capacity} blocks"
                         )
+                    dummy_reads += 1
+                    buckets_read += path_buckets
+                    bytes_read += path_bytes
+                    elapsed += dt_path
                     write_back(
                         stash_map,
                         groups,
@@ -479,15 +469,6 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
             self._leaf_buf_pos = leaf_pos
             self._access_count = access_count
             self._evict_counter = evict_counter
-            stash.clear()
-            # oblivious: allow[OBL001] client-local stash mirror write-back on
-            # exit; no server traffic
-            if stash_map:
-                count = len(stash_map)
-                stash.append_rows(
-                    np.fromiter(stash_map.keys(), np.int64, count),
-                    np.fromiter(stash_map.values(), np.int64, count),
-                )
             counter.add_bulk(
                 logical,
                 path_reads,

@@ -1,11 +1,12 @@
 """Shared-memory array allocation for process-parallel shard execution.
 
-The vectorized engines keep all hot state in a handful of flat numpy arrays
-(tree slots/occupancies, stash id/leaf rows, the position map).  When a
-shard engine runs inside a worker process, those arrays can be placed in
-:mod:`multiprocessing.shared_memory` segments instead of private heap pages,
-so the parent process can *snapshot* shard state — position maps, stash
-rows, tree occupancy — by attaching to the segments and reading them
+The vectorized engines keep their O(``num_blocks``) state in a handful of
+flat numpy arrays (tree slots/occupancies, the position map); the stash is
+a small client-side dict that stays private to the worker.
+When a shard engine runs inside a worker process, those arrays can be
+placed in :mod:`multiprocessing.shared_memory` segments instead of private
+heap pages, so the parent process can *snapshot* shard state — position
+maps, tree occupancy — by attaching to the segments and reading them
 directly, without pickling megabytes through a pipe.
 
 Two allocators implement one small protocol:
@@ -14,7 +15,7 @@ Two allocators implement one small protocol:
   arrays, zero overhead, used everywhere outside the worker pool;
 * :class:`SharedMemoryArrayPool` — one named ``SharedMemory`` segment per
   logical array.  The pool records a picklable :func:`registry` mapping
-  logical names (``"tree.slots"``, ``"stash.ids"``, ``"posmap.leaves"``,
+  logical names (``"tree.slots"``, ``"tree.occ"``, ``"posmap.leaves"``,
   ...) to ``(segment_name, shape, dtype)`` descriptors that the parent
   uses to attach.
 
@@ -23,8 +24,8 @@ and must call :meth:`SharedMemoryArrayPool.close` (unlinking them) before
 exit — the executor's worker loop does this in a ``finally`` so even a
 crashing shard leaves nothing behind.  The parent holds a belt-and-braces
 sweep (:func:`unlink_registry`) for workers that died too hard to clean up.
-Growth (the stash doubling its row arrays) allocates a fresh segment and
-immediately unlinks the outgrown one; the old mapping stays valid for any
+Re-allocating a logical name (a tree relayout) allocates a fresh segment
+and immediately unlinks the outgrown one; the old mapping stays valid for any
 still-live view and disappears with the process.
 """
 

@@ -19,7 +19,7 @@ Two planners live here:
   per-path greedy selection over the shared bucket state, so committing its
   plan is bit-identical to writing the paths back one at a time;
 * :func:`fused_greedy_write_back` — the allocation-free specialization the
-  fused trace drivers run: same greedy rule over a plain dict stash mirror,
+  fused trace drivers run: same greedy rule over the array backend's dict stash,
   valid only immediately after the target path has been emptied by a read.
 """
 
@@ -35,7 +35,6 @@ from repro.oram.tree import TreeStorage
 from repro.utils.bits import common_level
 
 if TYPE_CHECKING:
-    from repro.oram.stash import ArrayStash
     from repro.oram.tree import ArrayTreeStorage
 
 
@@ -73,15 +72,16 @@ def plan_greedy_write_back(
 
 
 def plan_batched_write_back(
-    tree: "ArrayTreeStorage", stash: "ArrayStash", leaves: Sequence[int]
+    tree: "ArrayTreeStorage", stash: dict[int, int], leaves: Sequence[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Plan the write-back of several paths over the union of their buckets.
 
-    Returns ``(rows, slot_indices, buckets, occupancies)``: the stash rows
+    ``stash`` is the array backend's insertion-ordered ``{id: leaf}`` dict.
+    Returns ``(victims, slot_indices, buckets, occupancies)``: the block ids
     selected for eviction, the flat tree slot each goes to, and the new
     occupancy of every bucket the plan touched.  The caller commits with
-    :meth:`ArrayTreeStorage.commit_batch_write` and removes ``rows`` from
-    the stash — one scatter each, regardless of how many paths the batch
+    :meth:`ArrayTreeStorage.commit_batch_write` and deletes ``victims``
+    from the stash — one scatter, regardless of how many paths the batch
     spans.
 
     The plan is bit-identical to writing the paths back sequentially (the
@@ -89,36 +89,36 @@ def plan_batched_write_back(
     in the same order:
 
     * eligibility/grouping: one vectorized xor pass computes every (path,
-      row) common level at once; a stable per-path argsort keeps ascending
-      row order within a level, matching the sequential planner's
-      tie-breaking.  Hole rows carry the stash's sentinel leaf whose xor bit
-      length is ``depth + 2``, so they sort behind every real row and are
-      never pooled.
+      stash entry) common level at once; a stable per-path argsort keeps
+      ascending insertion order within a level, matching the sequential
+      planner's tie-breaking.
     * shared bucket state: occupancies updated by an earlier path in the
       batch are carried forward to later paths (``occ`` cache), exactly as
       a sequential loop would observe them through the tree.
-    * rows taken by an earlier path are lazily skipped when a later path
+    * entries taken by an earlier path are lazily skipped when a later path
       pops them (``taken``), mirroring how a sequential planner would simply
-      no longer see those rows in the stash; removal never reorders the
-      remaining rows, so the surviving pool order is identical.
+      no longer see them in the stash; removal never reorders the
+      remaining entries, so the surviving pool order is identical.
     """
     depth = tree.depth
-    tail = stash.tail
+    size = len(stash)
+    stash_ids = list(stash)
     leaves_arr = np.asarray(leaves, dtype=np.int64)
     k = int(leaves_arr.size)
-    # (k, tail) matrix of xor bit lengths: frexp's exponent IS the bit
+    # (k, size) matrix of xor bit lengths: frexp's exponent IS the bit
     # length for non-negative ints (and 0 for 0), exact far below 2^53.
-    xor = np.bitwise_xor(stash.leaf_rows[None, :tail], leaves_arr[:, None])
+    stash_leaves = np.fromiter(stash.values(), np.int64, size)
+    xor = np.bitwise_xor(stash_leaves[None, :], leaves_arr[:, None])
     bitlen = np.empty(xor.shape, dtype=np.intc)
     np.frexp(xor, np.empty(xor.shape, dtype=np.float64), bitlen)
     order = np.argsort(bitlen, axis=1, kind="stable")
-    # Per-(path, bit length) group sizes via one offset bincount; bit
-    # lengths stay below ``width`` (holes peak at depth + 2).
-    width = depth + 3
+    # Per-(path, bit length) group sizes via one offset bincount; both
+    # leaves live below ``2**depth``, so bit lengths never exceed depth.
+    width = depth + 1
     counts = np.bincount(
         (bitlen + np.arange(k, dtype=np.int64)[:, None] * width).ravel(),
         minlength=k * width,
-    ).reshape(k, width)[:, : depth + 1]
+    ).reshape(k, width)
 
     # Per-(path, level) bucket ids, starting occupancies, bucket capacities
     # and flat slot bases, all gathered in a handful of small vectorized
@@ -141,8 +141,8 @@ def plan_batched_write_back(
 
     occ: dict[int, int] = {}
     occ_get = occ.get
-    taken = bytearray(tail)
-    rows: list[int] = []
+    taken = bytearray(size)
+    victims: list[int] = []
     slots: list[int] = []
     for i in range(k):
         sorted_rows = order[i]
@@ -151,9 +151,9 @@ def plan_batched_write_back(
         path_occ = occ_rows[i]
         path_bases = base_rows[i]
         # The pool is kept as a stack of half-open ranges into this path's
-        # sorted row order instead of materialized row lists: in steady
-        # state most pooled rows are never popped (their buckets are full),
-        # so only the rows actually popped pay for a scalar array read.
+        # sorted entry order instead of materialized lists: in steady state
+        # most pooled entries are never popped (their buckets are full), so
+        # only the entries actually popped pay for a scalar array read.
         # Popping from the end of the last-appended range replays the
         # reference planner's order exactly (current level's group first,
         # each group in reverse within-group order).
@@ -185,23 +185,23 @@ def plan_batched_write_back(
                 if taken[row]:
                     continue
                 taken[row] = 1
-                rows.append(row)
+                victims.append(stash_ids[row])
                 slots.append(base + occupancy)
                 occupancy += 1
             occ[bucket] = occupancy
-    return rows, slots, list(occ.keys()), list(occ.values())
+    return victims, slots, list(occ.keys()), list(occ.values())
 
 
 def fused_greedy_write_back(
     stash_map, groups, caps, level_base, node_base, slots, occ, depth, leaf
 ):
-    """Greedy write-back from a dict stash mirror onto a freshly read path.
+    """Greedy write-back from the dict stash onto a freshly read path.
 
     The fused trace drivers' specialization of :func:`plan_greedy_write_back`
     for the one case they are always in: the path to ``leaf`` was just
     emptied by a full read, so every bucket on it has occupancy zero and the
     plan/commit split collapses into direct scalar slot writes.  Dict
-    iteration order is insertion order — the same order the row stash
+    iteration order is insertion order — the order the reference stash
     enumerates — so grouping by xor bit length, LIFO pool selection and
     ascending slot assignment are all decision-identical to the reference
     planner; the scalar occupancy write per visited level equals the

@@ -28,6 +28,7 @@ import pytest
 from repro.analysis import (
     AllocScope,
     AnalysisConfig,
+    Declassification,
     Declassifier,
     Finding,
     ModuleSources,
@@ -64,6 +65,8 @@ def fixture_config() -> AnalysisConfig:
         obl_hot_functions={
             "analysis_fixtures/obl_bad.py": ("*",),
             "analysis_fixtures/obl_good.py": ("*",),
+            "analysis_fixtures/manifest_bad.py": ("present", "renamed_hot"),
+            "analysis_fixtures/manifest_good.py": ("Engine.hot",),
         },
         observable_containers=frozenset({"slots", "occ"}),
         alloc_hot_functions={
@@ -75,12 +78,25 @@ def fixture_config() -> AnalysisConfig:
                 AllocScope("hot_helper", "body"),
                 AllocScope("Driver.run_trace", "loops"),
             ),
+            "analysis_fixtures/manifest_bad.py": (AllocScope("deleted_helper"),),
+            "analysis_fixtures/manifest_good.py": (AllocScope("Engine.hot"),),
         },
         fused_drivers={
             "analysis_fixtures/cnt_bad.py": ("*._run_trace_fused",),
             "analysis_fixtures/cnt_good.py": ("*._run_trace_fused",),
+            "analysis_fixtures/manifest_bad.py": ("*._run_trace_fused",),
         },
         rng_allowed_modules=("repro/utils/rng.py",),
+        declassifications=(
+            Declassification(
+                "analysis_fixtures/manifest_bad.py", "old_name", ("OBL001",),
+                "planted stale entry",
+            ),
+            Declassification(
+                "analysis_fixtures/manifest_good.py", "Engine.*", ("OBL001",),
+                "resolves to Engine.hot",
+            ),
+        ),
     )
 
 
@@ -122,6 +138,7 @@ def test_fixture_corpus_matches_markers_exactly():
         ("alloc_bad.py", "ALLOC001"),
         ("api_bad.py", "API001"),
         ("cnt_bad.py", "CNT001"),
+        ("manifest_bad.py", "MAN001"),
         ("suppression.py", "SUP001"),
     ],
 )
@@ -135,11 +152,30 @@ def test_bad_fixture_triggers_rule(name, rule):
 
 @pytest.mark.parametrize(
     "name",
-    ["obl_good.py", "rng_good.py", "alloc_good.py", "api_good.py", "cnt_good.py"],
+    [
+        "obl_good.py",
+        "rng_good.py",
+        "alloc_good.py",
+        "api_good.py",
+        "cnt_good.py",
+        "manifest_good.py",
+    ],
 )
 def test_good_fixture_is_clean(name):
     result = analyze_paths([str(FIXTURES / name)], fixture_config())
     assert result.findings == []
+
+
+def test_every_stale_manifest_entry_is_reported():
+    result = analyze_paths([str(FIXTURES / "manifest_bad.py")], fixture_config())
+    stale = sorted(f.message.split(" matches ")[0] for f in result.findings)
+    assert stale == [
+        "alloc_hot_functions entry 'deleted_helper'",
+        "declassifications entry 'old_name'",
+        "fused_drivers entry '*._run_trace_fused'",
+        "obl_hot_functions entry 'renamed_hot'",
+    ]
+    assert {(f.rule, f.line) for f in result.findings} == {("MAN001", 1)}
 
 
 def test_valid_suppressions_are_recorded_with_reasons():
@@ -267,6 +303,25 @@ def _scan_scratch_engine(tmp_path: Path, planted: str) -> list[Finding]:
 
 def test_unmodified_scratch_copy_is_clean(tmp_path):
     assert _scan_scratch_engine(tmp_path, "") == []
+
+
+def test_renamed_hot_function_is_caught(tmp_path):
+    # A renamed hot function leaves its manifest entry behind, which would
+    # otherwise drop the function from OBL coverage without a finding.
+    scratch = tmp_path / "repro" / "oram"
+    scratch.mkdir(parents=True)
+    source = (REPO_ROOT / "src" / "repro" / "oram" / "engine.py").read_text(
+        encoding="utf-8"
+    )
+    copy = scratch / "engine.py"
+    copy.write_text(
+        source.replace("def _write_back_many(", "def _write_back_batch("),
+        encoding="utf-8",
+    )
+    findings = analyze_paths([str(copy)], default_config()).findings
+    assert [(f.rule, f.message.split(" matches ")[0]) for f in findings] == [
+        ("MAN001", "obl_hot_functions entry 'ArrayStorageEngine._write_back_many'")
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Tests for the array-backed engines: invariants, equivalence, regressions.
 
-Covers the vectorized ``ArrayPathORAM`` / ``FastLAORAMClient`` stack (row
+Covers the vectorized ``ArrayPathORAM`` / ``FastLAORAMClient`` stack (dict
 stash, slot-array tree, plan-array execution), its decision-for-decision
 equivalence with the per-object engines, and regression tests for the
 plan-consumption and stash-iteration bugs fixed alongside it.
@@ -17,7 +17,7 @@ from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError, StashOverflowError
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
-from repro.oram.stash import ArrayStash
+from repro.oram.path_oram import PathORAM
 from repro.oram.tree import ArrayTreeStorage
 
 
@@ -44,10 +44,10 @@ def assert_engine_consistent(engine):
                 # Path-prefix invariant: a stored block's assigned path must
                 # pass through the bucket holding it.
                 assert pm.get(block_id) >> (depth - level) == node
-        for block_id in engine.stash.block_ids:
+        for block_id, leaf in engine.stash.items():
             seen.append(block_id)
-            # The stash's leaf mirror must agree with the position map.
-            assert engine.stash.leaf_of(block_id) == pm.get(block_id)
+            # The stash's leaf entry must agree with the position map.
+            assert leaf == pm.get(block_id)
     else:
         for block in engine.tree.iter_blocks():
             seen.append(block.block_id)
@@ -58,78 +58,40 @@ def assert_engine_consistent(engine):
     assert sorted(seen) == list(range(num_blocks))
 
 
-class TestArrayStash:
-    def make(self, **kwargs):
-        kwargs.setdefault("num_blocks", 64)
-        kwargs.setdefault("num_leaves", 16)
-        return ArrayStash(**kwargs)
+class TestDictStash:
+    """The array backend's stash is a plain ``{id: leaf}`` dict."""
 
-    def test_insertion_order_and_membership(self):
-        stash = self.make()
-        stash.append_rows(
-            np.asarray([5, 9, 2], dtype=np.int64),
-            np.asarray([1, 3, 7], dtype=np.int64),
+    def test_order_follows_the_reference_stash(self):
+        config = ORAMConfig(
+            num_blocks=256, block_size_bytes=64, seed=4, bucket_size=1,
+            background_eviction=False,
         )
-        assert len(stash) == 3
-        assert stash.block_ids == [5, 9, 2]
-        assert 9 in stash and 4 not in stash
-        assert stash.leaf_of(9) == 3
-        with pytest.raises(KeyError):
-            stash.leaf_of(4)
+        fast = ArrayPathORAM(config)
+        reference = PathORAM(config)
+        trace = ZipfTraceGenerator(256, exponent=1.1, seed=6).generate(600)
+        fast.run_trace(trace.addresses)
+        reference.run_trace(trace.addresses)
+        assert type(fast.stash) is dict and len(fast.stash) > 1
+        assert list(fast.stash) == reference.stash.block_ids
+        assert all(type(leaf) is int for leaf in fast.stash.values())
+        assert fast.stash == {b.block_id: b.leaf for b in reference.stash}
+        # Detach + insert moves an id to the end, as on the reference.
+        first = next(iter(fast.stash))
+        assert fast._stash_detach(first) == first
+        assert fast._stash_detach(first) is None
+        fast._stash_insert(first, 3)
+        assert list(fast.stash)[-1] == first and fast.stash[first] == 3
 
-    def test_remove_and_readd_moves_to_end(self):
-        stash = self.make()
-        stash.append_rows(
-            np.asarray([5, 9, 2], dtype=np.int64),
-            np.asarray([1, 3, 7], dtype=np.int64),
-        )
-        assert stash.pop(9)
-        assert not stash.pop(9)
-        stash.add(9, 4)
-        assert stash.block_ids == [5, 2, 9]
-        assert stash.leaf_of(9) == 4
-
-    def test_compaction_preserves_order(self):
-        stash = self.make(num_blocks=4096, num_leaves=64, initial_rows=8)
-        rng = np.random.default_rng(0)
-        expected: list[int] = []
-        next_id = 0
-        for _ in range(200):
-            count = int(rng.integers(1, 5))
-            ids = np.arange(next_id, next_id + count, dtype=np.int64)
-            next_id += count
-            stash.append_rows(ids, ids % 64)
-            expected.extend(ids.tolist())
-            while expected and rng.random() < 0.6:
-                victim = expected.pop(int(rng.integers(0, len(expected))))
-                assert stash.pop(victim)
-        assert stash.block_ids == expected
-        assert list(stash.live_ids()) == expected
-        for block_id in expected:
-            assert stash.leaf_of(block_id) == block_id % 64
-
-    def test_capacity_overflow(self):
-        stash = self.make(capacity=2)
-        stash.add(1, 0)
-        stash.add(2, 1)
+    def test_capacity_is_checked_after_the_merge(self):
+        config = ORAMConfig(num_blocks=64, block_size_bytes=64, seed=1, stash_capacity=2)
+        engine = ArrayPathORAM(config)
+        engine.stash.clear()
+        engine._stash_insert(1, 0)
+        engine._stash_insert(2, 1)
         with pytest.raises(StashOverflowError):
-            stash.add(3, 2)
-        with pytest.raises(StashOverflowError):
-            stash.append_rows(
-                np.asarray([4], dtype=np.int64), np.asarray([0], dtype=np.int64)
-            )
-
-    def test_clear(self):
-        stash = self.make()
-        stash.append_rows(
-            np.asarray([5, 9], dtype=np.int64), np.asarray([1, 3], dtype=np.int64)
-        )
-        stash.clear()
-        assert len(stash) == 0
-        assert stash.block_ids == []
-        assert 5 not in stash
-        stash.add(5, 2)
-        assert stash.block_ids == [5]
+            engine._stash_insert(3, 2)
+        # The overflowing entry is kept: the engine never drops a block.
+        assert list(engine.stash) == [1, 2, 3]
 
 
 class TestEngineEquivalence:
@@ -156,7 +118,7 @@ class TestEngineEquivalence:
         assert np.array_equal(
             fast.position_map.as_array(), reference.position_map.as_array()
         )
-        assert fast.stash.block_ids == reference.stash.block_ids
+        assert list(fast.stash) == reference.stash.block_ids
 
     def test_payloads_round_trip_identically(self):
         config = make_laoram_config(num_blocks=128, superblock_size=4)
@@ -227,7 +189,9 @@ class TestPlacementRegressions:
         if isinstance(engine, FastLAORAMClient):
             for leaf in leaves:
                 ids = engine.tree.read_path_ids(leaf)
-                engine.stash.append_rows(ids, engine.position_map.leaves[ids])
+                engine.stash.update(
+                    zip(ids.tolist(), engine.position_map.leaves[ids].tolist())
+                )
         else:
             for leaf in leaves:
                 for block in engine.tree.read_path(leaf):

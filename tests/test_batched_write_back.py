@@ -58,14 +58,12 @@ def assert_invariants(engine: ArrayPathORAM) -> None:
         ids = slots[nodes, slot_cols]
         assert np.array_equal(pm_leaves[ids] >> (depth - level), nodes)
         seen.append(ids)
-    tail = stash.tail
-    stash_ids = stash.id_rows[:tail]
-    real = stash_ids >= 0
-    # The stash's leaf mirror agrees with the position map.
+    stash_ids = np.fromiter(stash, np.int64, len(stash))
+    # The stash's leaf entries agree with the position map.
     assert np.array_equal(
-        stash.leaf_rows[:tail][real], pm_leaves[stash_ids[real]]
+        np.fromiter(stash.values(), np.int64, len(stash)), pm_leaves[stash_ids]
     )
-    seen.append(stash_ids[real])
+    seen.append(stash_ids)
     # Conservation: every block exactly once across tree + stash.
     all_ids = np.sort(np.concatenate(seen))
     assert np.array_equal(all_ids, np.arange(NUM_BLOCKS))
@@ -74,15 +72,8 @@ def assert_invariants(engine: ArrayPathORAM) -> None:
 def assert_engines_identical(batched: ArrayPathORAM, sequential: ArrayPathORAM):
     assert np.array_equal(batched.tree._slots, sequential.tree._slots)
     assert np.array_equal(batched.tree._occ, sequential.tree._occ)
-    assert batched.stash.tail == sequential.stash.tail
-    tail = batched.stash.tail
-    assert np.array_equal(
-        batched.stash.id_rows[:tail], sequential.stash.id_rows[:tail]
-    )
-    assert np.array_equal(
-        batched.stash.leaf_rows[:tail], sequential.stash.leaf_rows[:tail]
-    )
-    assert np.array_equal(batched.stash.row_of, sequential.stash.row_of)
+    # Same entries in the same insertion order.
+    assert list(batched.stash.items()) == list(sequential.stash.items())
 
 
 def drive_round(engine: ArrayPathORAM, rng: np.random.Generator) -> None:
@@ -96,7 +87,7 @@ def drive_round(engine: ArrayPathORAM, rng: np.random.Generator) -> None:
     engine._read_paths_into_stash(leaves, dummy=False)
     # Churn: remap a random slice of the stash-resident blocks so write-back
     # eligibility differs from where the blocks were fetched.
-    resident = [b for b in engine.stash.block_ids]
+    resident = list(engine.stash)
     if resident:
         take = int(rng.integers(0, len(resident) + 1))
         new_leaves = rng.integers(0, num_leaves, size=take)

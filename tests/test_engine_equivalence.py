@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.laoram import LookaheadClientMixin
 from repro.datasets.zipf import ZipfTraceGenerator
-from repro.exceptions import UnsupportedEngineError
+from repro.exceptions import StashOverflowError, UnsupportedEngineError
 from repro.experiments.configs import FAST_ENGINE_FAMILIES, build_engine
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.engine import ArrayStorageEngine
@@ -94,10 +94,10 @@ def assert_engine_consistent(engine) -> None:
                 # Path-prefix invariant: a stored block's assigned path must
                 # pass through the bucket holding it.
                 assert pm.get(block_id) >> (depth - level) == node
-        for block_id in engine.stash.block_ids:
+        for block_id, leaf in engine.stash.items():
             seen.append(block_id)
-            # The stash's leaf mirror must agree with the position map.
-            assert engine.stash.leaf_of(block_id) == pm.get(block_id)
+            # The stash's leaf entry must agree with the position map.
+            assert leaf == pm.get(block_id)
     else:
         for block in engine.tree.iter_blocks():
             seen.append(block.block_id)
@@ -123,7 +123,7 @@ class TestCrossFamilyEquivalence:
         assert np.array_equal(
             fast.position_map.as_array(), reference.position_map.as_array()
         )
-        assert list(fast.stash.block_ids) == list(reference.stash.block_ids)
+        assert list(fast.stash) == reference.stash.block_ids
         assert_engine_consistent(reference)
         assert_engine_consistent(fast)
 
@@ -139,7 +139,7 @@ class TestCrossFamilyEquivalence:
         assert np.array_equal(
             fast.position_map.as_array(), reference.position_map.as_array()
         )
-        assert list(fast.stash.block_ids) == list(reference.stash.block_ids)
+        assert list(fast.stash) == reference.stash.block_ids
         assert_engine_consistent(fast)
 
     @pytest.mark.parametrize("label", FAMILY_LABELS)
@@ -180,7 +180,7 @@ class TestBatchedWriteBackDifferential:
         assert np.array_equal(
             batched.position_map.as_array(), sequential.position_map.as_array()
         )
-        assert list(batched.stash.block_ids) == list(sequential.stash.block_ids)
+        assert list(batched.stash) == list(sequential.stash)
         assert_engine_consistent(batched)
         assert_engine_consistent(sequential)
 
@@ -198,7 +198,7 @@ class TestBatchedWriteBackDifferential:
         assert np.array_equal(
             batched.position_map.as_array(), sequential.position_map.as_array()
         )
-        assert list(batched.stash.block_ids) == list(sequential.stash.block_ids)
+        assert list(batched.stash) == list(sequential.stash)
 
 
 class TestBatchedAccessEquivalence:
@@ -217,7 +217,7 @@ class TestBatchedAccessEquivalence:
         assert np.array_equal(
             fast.position_map.as_array(), reference.position_map.as_array()
         )
-        assert list(fast.stash.block_ids) == list(reference.stash.block_ids)
+        assert list(fast.stash) == reference.stash.block_ids
         assert_engine_consistent(reference)
         assert_engine_consistent(fast)
 
@@ -234,7 +234,7 @@ class TestBatchedAccessEquivalence:
         assert np.array_equal(
             fast.position_map.as_array(), reference.position_map.as_array()
         )
-        assert list(fast.stash.block_ids) == list(reference.stash.block_ids)
+        assert list(fast.stash) == reference.stash.block_ids
 
     def test_batched_payloads_round_trip(self):
         # write_many + access_many through the batched protocol must return
@@ -270,6 +270,55 @@ class TestBatchedAccessEquivalence:
         assert np.array_equal(
             plain.position_map.as_array(), one.position_map.as_array()
         )
+
+
+class TestStashOverflow:
+    """A stash overflow mid-trace leaves every entry point in the same state.
+
+    The fused drivers must raise at the same access as the per-access loop
+    and the reference engine, with the same counters and simulated time (the
+    failing path read is not charged), and the array engine keeps every
+    block: the capacity check follows the merge.
+    """
+
+    OVERFLOW_BLOCKS = 4096
+
+    def build(self, label, fast):
+        config = ORAMConfig(
+            num_blocks=self.OVERFLOW_BLOCKS,
+            block_size_bytes=32,
+            bucket_size=2,
+            stash_capacity=12,
+            background_eviction=False,
+            seed=3,
+        )
+        return build_engine(label, config, fast=fast)
+
+    @pytest.mark.parametrize(
+        "label", ["PathORAM", "RingORAM", "PrORAM-dynamic/S2", "Normal/S4"]
+    )
+    def test_overflow_matches_access_loop_and_reference(self, label):
+        trace = np.random.default_rng(5).integers(0, self.OVERFLOW_BLOCKS, 3000)
+        reference = self.build(label, fast=False)
+        fused = self.build(label, fast=True)
+        engines = [fused]
+        with pytest.raises(StashOverflowError):
+            reference.run_trace(trace)
+        with pytest.raises(StashOverflowError):
+            fused.run_trace(trace)
+        if not isinstance(fused, LookaheadClientMixin):
+            # LAORAM's run_trace is its plan pipeline on both backends; the
+            # other families also compare against the un-fused access loop.
+            looped = self.build(label, fast=True)
+            engines.append(looped)
+            with pytest.raises(StashOverflowError):
+                for block_id in trace.tolist():
+                    looped.access(block_id)
+        assert 0 < reference.statistics.logical_accesses < len(trace)
+        for engine in engines:
+            assert engine.statistics == reference.statistics
+            assert engine.simulated_time_s == reference.simulated_time_s
+            assert engine.total_real_blocks() == self.OVERFLOW_BLOCKS
 
 
 class TestFastEngineCoverage:

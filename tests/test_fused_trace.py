@@ -58,13 +58,8 @@ def _merge_trace(n_groups: int = 500, seed: int = 12) -> list[int]:
 def _state(engine):
     """Everything that must match between two engine instances."""
     stash = engine.stash
-    if hasattr(stash, "id_rows"):
-        tail = stash.tail
-        stash_rows = [
-            (int(b), int(leaf))
-            for b, leaf in zip(stash.id_rows[:tail], stash.leaf_rows[:tail])
-            if b >= 0
-        ]
+    if isinstance(stash, dict):
+        stash_rows = list(stash.items())
     else:
         stash_rows = [
             (block.block_id, block.leaf) for block in stash
