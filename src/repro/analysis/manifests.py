@@ -270,7 +270,7 @@ def default_config() -> AnalysisConfig:
             "repro/oram/write_back.py": (
                 "plan_greedy_write_back",
                 "plan_batched_write_back",
-                "fused_greedy_write_back",
+                "greedy_write_back",
             ),
             "repro/oram/recursive_posmap.py": (
                 "RecursivePositionMap._walk",
@@ -280,12 +280,10 @@ def default_config() -> AnalysisConfig:
                 "RecursivePositionMap.set_many",
             ),
             "repro/core/laoram.py": (
-                "LookaheadClientMixin._access_bin",
+                "LookaheadClientMixin._access_batch",
                 "LookaheadClientMixin._execute_plan",
                 "LookaheadClientMixin._choose_new_leaf",
                 "LookaheadClientMixin._planned_leaf",
-                "LookaheadClientMixin.access_many",
-                "LookaheadClientMixin.write_many",
             ),
         },
         observable_containers=frozenset(
@@ -306,7 +304,7 @@ def default_config() -> AnalysisConfig:
                 ),
             ),
             "repro/oram/write_back.py": (
-                AllocScope("fused_greedy_write_back", "body"),
+                AllocScope("greedy_write_back", "body"),
             ),
             "repro/oram/tree.py": (
                 AllocScope("ArrayTreeStorage._fill_path_slots", "body"),
@@ -360,7 +358,7 @@ def default_config() -> AnalysisConfig:
             ),
             Declassification(
                 "repro/oram/write_back.py",
-                "fused_greedy_write_back",
+                "greedy_write_back",
                 ("OBL001", "OBL002"),
                 "client-side planning (see plan_greedy_write_back); slot "
                 "indices written derive from the already-revealed path leaf",

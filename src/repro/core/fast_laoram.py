@@ -6,8 +6,9 @@ the engine's batched access step) with the vectorized
 :class:`~repro.oram.array_path_oram.ArrayPathORAM` storage backend, exactly
 as :class:`~repro.core.laoram.LAORAMClient` combines it with the per-object
 one.  Only the storage hooks differ: multi-path reads are one deduplicated
-gather, write-backs use the cross-path batched planner and the initial
-placement is the per-level bulk placement.
+gather, write-backs run the array greedy core (the cross-path batched
+planner for bins of ``BATCHED_WB_MIN_PATHS`` paths or more) and the
+initial placement is the per-level bulk placement.
 
 Both backends draw from the RNG in the same order and pick the same
 write-back victims, so a fixed seed yields bit-identical traffic counters

@@ -21,13 +21,17 @@ so the same client runs both the "Normal" and "Fat" configurations of the
 evaluation.
 
 LAORAM is one protocol mixin over two storage backends, like RingORAM and
-PrORAM: :class:`LookaheadClientMixin` holds the plan, the trace cursor, the
-initial placement and every entry point, and serves each bin through the
-engine's shared batched access step
-(:meth:`~repro.oram.engine.TreeORAMEngine._access_batch`) with the plan
-supplying the remap leaves.  :class:`LAORAMClient` puts it over the
-per-object engine and :class:`~repro.core.fast_laoram.FastLAORAMClient`
-over the array engine; they differ only in the storage hooks.
+PrORAM.  :class:`LookaheadClientMixin` holds the plan, the trace cursor,
+the initial placement and the planning ``run_trace``; everything else is
+the engine's.  It supplies exactly the two differences: the engine's
+``access_many``/``write_many`` chunk on superblock boundaries
+(``_chunk_length``), and every access — a bin, a chunk or a single
+``access`` (a batch of one) — runs the engine's shared batched step
+(:meth:`~repro.oram.engine.TreeORAMEngine._access_batch`) with the cursor
+parked on the bin's last index, so the plan supplies the remap leaves.
+:class:`LAORAMClient` puts it over the per-object engine and
+:class:`~repro.core.fast_laoram.FastLAORAMClient` over the array engine;
+they differ only in the storage hooks.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
-from repro.oram.base import AccessOp
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
 from repro.core.config import LAORAMConfig
@@ -51,19 +54,21 @@ class LookaheadClientMixin:
     """The LAORAM protocol over any tree-ORAM storage backend.
 
     The mixin owns the constructor, the preprocessor, the installed plan,
-    the trace cursor, the trusted-setup initial placement and every
-    trace-level entry point (``run_trace``, ``access_many``,
-    ``write_many``).  A bin is served by the engine's batched access step;
-    the only backend-specific part is the storage hook that re-places
-    every block in block-id order (``_relayout_tree(by_id=True)``).
+    the trace cursor, the trusted-setup initial placement and the planning
+    ``run_trace``.  The engine's ``access``, ``access_many`` and
+    ``write_many`` serve everything else through two overrides: the chunk
+    length (:meth:`_chunk_length`) and the cursor around each batch
+    (:meth:`_access_batch`).  The only backend-specific part is the storage
+    hook that re-places every block in block-id order
+    (``_relayout_tree(by_id=True)``).
     """
 
     laoram_config: LAORAMConfig
 
-    #: LAORAM's batching is the superblock bin itself (``access_many`` and
-    #: ``write_many`` below chunk on bin boundaries), so the engine's
-    #: ``batch_size`` chunking does not apply.  Each bin still runs through
-    #: the shared batched step :meth:`_access_batch`.
+    #: LAORAM's batching is the superblock bin itself (:meth:`_chunk_length`
+    #: chunks on bin boundaries), so the engine's ``batch_size`` chunking
+    #: does not apply.  Each bin still runs through the shared batched step
+    #: :meth:`_access_batch`.
     SUPPORTS_BATCHED_ACCESS = False
 
     #: Scalar leaf draws: the preprocessor and the bin-path draws pull from
@@ -201,7 +206,8 @@ class LookaheadClientMixin:
                 plan.iter_bin_arrays(), remaps
             ):
                 self._bin_remaps = iter(bin_remaps)
-                self._access_bin(start_index, block_ids.tolist())
+                self._trace_cursor = start_index
+                self._access_batch(block_ids.tolist())
         finally:
             self._bin_remaps = None
         plan.apply_consumption(final_consumed)
@@ -211,70 +217,38 @@ class LookaheadClientMixin:
         superblock: SuperblockBin,
         new_payloads: Optional[dict[int, object]] = None,
     ) -> list[Optional[object]]:
-        """Serve every access of one superblock bin; payloads in bin order."""
-        return self._access_bin(
-            superblock.start_index, list(superblock.block_ids), new_payloads
-        )
+        """Serve every access of one superblock bin; payloads in bin order.
 
-    def _access_bin(
+        ``new_payloads`` turns the corresponding accesses into writes.
+        """
+        self._trace_cursor = superblock.start_index
+        return self._access_batch(list(superblock.block_ids), new_payloads)
+
+    def _access_batch(
         self,
-        start_index: int,
         block_ids: list[int],
         new_payloads: Optional[dict[int, object]] = None,
     ) -> list[Optional[object]]:
-        """Serve one bin through the engine's batched access step.
+        """Serve one bin starting at the cursor, then advance past it.
 
         With the cursor parked on the bin's last index,
         :meth:`_choose_new_leaf` hands each block the path of its next
-        planned occurrence after the bin.  ``new_payloads`` turns the
-        corresponding accesses into writes.
+        planned occurrence after the bin.
         """
-        end_index = start_index + len(block_ids) - 1
+        end_index = self._trace_cursor + len(block_ids)
+        self._trace_cursor = end_index - 1
+        payloads = super()._access_batch(block_ids, new_payloads)
         self._trace_cursor = end_index
-        payloads = self._access_batch(block_ids, new_payloads)
-        self._trace_cursor = end_index + 1
         return payloads
 
-    def access_many(self, block_ids: Sequence[int]) -> list[Optional[object]]:
-        """Batched read access: ids are grouped into superblock-sized bins.
+    def _chunk_length(self) -> int:
+        """Length of the next ad-hoc bin so it ends on a superblock boundary.
 
-        This is the entry point the embedding trainer uses: each consecutive
-        group of ``superblock_size`` requested rows is served as one
-        superblock, so blocks sharing a path cost a single fetch.  Bin
-        boundaries are aligned to the global access index so they coincide
-        with the boundaries the preprocessor used when planning the trace.
+        Bin boundaries are aligned to the global access index, so they
+        coincide with the boundaries the preprocessor used when planning
+        the trace.  Never ``None``: the engine's ``access_many`` would then
+        call this mixin's planning :meth:`run_trace`.
         """
-        ids = self._coerce_id_list(block_ids)
-        payloads: list[Optional[object]] = []
-        offset = 0
-        while offset < len(ids):
-            chunk = ids[offset : offset + self._next_bin_length()]
-            payloads.extend(self._access_bin(self._trace_cursor, chunk))
-            offset += len(chunk)
-        return payloads
-
-    def write_many(
-        self, block_ids: Sequence[int], payloads: Sequence[object]
-    ) -> None:
-        """Batched write access: like :meth:`access_many` but storing payloads.
-
-        Gradient write-backs of a training minibatch go through here so that
-        updated rows sharing a path cost a single fetch, mirroring the read
-        side.  Duplicate ids within the batch keep the last payload.
-        """
-        if len(block_ids) != len(payloads):
-            raise ConfigurationError("block_ids and payloads must have equal length")
-        ids = self._coerce_id_list(block_ids)
-        offset = 0
-        while offset < len(ids):
-            take = self._next_bin_length()
-            chunk = ids[offset : offset + take]
-            updates = dict(zip(chunk, payloads[offset : offset + take]))
-            self._access_bin(self._trace_cursor, chunk, updates)
-            offset += len(chunk)
-
-    def _next_bin_length(self) -> int:
-        """Length of the next ad-hoc bin so it ends on a superblock boundary."""
         size = self.laoram_config.superblock_size
         return size - (self._trace_cursor % size)
 
@@ -284,19 +258,8 @@ class LookaheadClientMixin:
         return self._trace_cursor
 
     # ------------------------------------------------------------------
-    # Single-access compatibility path
+    # Remapping
     # ------------------------------------------------------------------
-    def access(
-        self,
-        block_id: int,
-        op: AccessOp = AccessOp.READ,
-        new_payload: Optional[object] = None,
-    ) -> Optional[object]:
-        """Single-block access (PathORAM semantics, plan-driven remapping)."""
-        payload = super().access(block_id, op, new_payload)
-        self._trace_cursor += 1
-        return payload
-
     def _choose_new_leaf(self, block_id: int) -> int:
         """Path of the block's next planned bin after the cursor.
 

@@ -75,7 +75,7 @@ class Preprocessor:
         # Vectorized construction: the plan groups occurrences by block id
         # with array operations; SuperblockBin objects are only materialised
         # if a caller asks for plan.bins.
-        return LookaheadPlan.from_arrays(
+        return LookaheadPlan(
             addr,
             leaves,
             superblock_size=self.superblock_size,

@@ -9,19 +9,20 @@ it asks the plan for the block's next occurrence and uses that bin's path as
 the block's new position, so that by the time the bin is processed all of its
 blocks sit on a single path.
 
-The plan is stored as flat numpy arrays (occurrence indices and bin leaves
-grouped by block id via one stable argsort) so that million-access windows
-can be planned without per-access Python work.  :class:`SuperblockBin`
-objects are materialised lazily and only for callers that want the
-object-level view; the vectorized execution engine iterates the underlying
-arrays directly through :meth:`LookaheadPlan.iter_bin_arrays`.
+The plan is built from the window's address array and one leaf per bin,
+and stored as flat numpy arrays (occurrence indices and bin leaves grouped
+by block id via one stable argsort) so that million-access windows can be
+planned without per-access Python work.  :class:`SuperblockBin` objects
+are built only for callers that want the object-level view
+(:attr:`LookaheadPlan.bins`); the engines iterate the underlying arrays
+directly through :meth:`LookaheadPlan.iter_bin_arrays`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -68,47 +69,21 @@ class LookaheadPlan:
     ``searchsorted`` calls; no per-access Python objects are created.
     """
 
-    def __init__(self, bins: Sequence[SuperblockBin], num_leaves: int):
-        if num_leaves < 2:
-            raise ValueError("num_leaves must be >= 2")
-        bins = tuple(bins)
-        if bins:
-            ids = np.concatenate(
-                [np.asarray(sb.block_ids, dtype=np.int64) for sb in bins]
-            )
-            occ = np.concatenate(
-                [sb.start_index + np.arange(len(sb), dtype=np.int64) for sb in bins]
-            )
-            leaf = np.repeat(
-                np.asarray([sb.leaf for sb in bins], dtype=np.int64),
-                np.asarray([len(sb) for sb in bins], dtype=np.int64),
-            )
-        else:
-            ids = occ = leaf = np.empty(0, dtype=np.int64)
-        self._init_arrays(ids, occ, leaf, num_leaves)
-        self._bins: Optional[tuple[SuperblockBin, ...]] = bins
-        # Raw window arrays (only set by from_arrays; used for lazy bins).
-        self._addresses: Optional[np.ndarray] = None
-        self._bin_leaves: Optional[np.ndarray] = None
-        self._superblock_size = 0
-        self._start_index = 0
-
-    @classmethod
-    def from_arrays(
-        cls,
+    def __init__(
+        self,
         addresses: np.ndarray,
         bin_leaves: np.ndarray,
         superblock_size: int,
         num_leaves: int,
         start_index: int = 0,
-    ) -> "LookaheadPlan":
-        """Build a plan directly from a window's address and bin-leaf arrays.
+    ):
+        """Build a plan from a window's address and bin-leaf arrays.
 
-        ``addresses`` is the access stream of the window; ``bin_leaves`` holds
-        one uniformly random leaf per bin of ``superblock_size`` consecutive
-        accesses.  This is the vectorized construction path the preprocessor
-        uses: no :class:`SuperblockBin` objects are created until a caller
-        asks for :attr:`bins`.
+        ``addresses`` is the access stream of the window, whose first access
+        sits at trace index ``start_index``; ``bin_leaves`` holds one
+        uniformly random leaf per bin of ``superblock_size`` consecutive
+        accesses (the last bin may be short).  No :class:`SuperblockBin`
+        objects are created until a caller asks for :attr:`bins`.
         """
         if num_leaves < 2:
             raise ValueError("num_leaves must be >= 2")
@@ -123,32 +98,18 @@ class LookaheadPlan:
                 f"need {expected_bins} bin leaves for {n} accesses, "
                 f"got {bin_leaves.size}"
             )
-        plan = cls.__new__(cls)
-        occ = start_index + np.arange(n, dtype=np.int64)
-        leaf = bin_leaves[np.arange(n, dtype=np.int64) // superblock_size]
-        plan._init_arrays(addresses, occ, leaf, num_leaves)
-        plan._bins = None
-        plan._addresses = addresses
-        plan._bin_leaves = bin_leaves
-        plan._superblock_size = superblock_size
-        plan._start_index = start_index
-        return plan
-
-    def _init_arrays(
-        self,
-        ids: np.ndarray,
-        occ: np.ndarray,
-        leaf: np.ndarray,
-        num_leaves: int,
-    ) -> None:
+        self._addresses = addresses
+        self._bin_leaves = bin_leaves
+        self._superblock_size = superblock_size
+        self._start_index = start_index
         self._num_leaves = num_leaves
-        self._num_accesses = int(ids.size)
+        self._num_accesses = int(n)
         # Group occurrences by block id with one stable sort; within a block
         # the occurrence indices stay in increasing trace order.
-        order = np.argsort(ids, kind="stable")
-        self._sorted_ids = ids[order]
-        self._sorted_occ = occ[order]
-        self._sorted_leaf = leaf[order]
+        order = np.argsort(addresses, kind="stable")
+        self._sorted_ids = addresses[order]
+        self._sorted_occ = start_index + order
+        self._sorted_leaf = bin_leaves[order // superblock_size]
         self._uniq, self._starts = np.unique(self._sorted_ids, return_index=True)
         self._ends = np.append(self._starts[1:], self._sorted_ids.size)
         # Python-side mirrors for the per-access lookup path (next_leaf /
@@ -181,44 +142,33 @@ class LookaheadPlan:
     # ------------------------------------------------------------------
     @property
     def bins(self) -> tuple[SuperblockBin, ...]:
-        """Every superblock bin in trace order (materialised on demand)."""
-        if self._bins is None:
-            addresses = self._addresses
-            size = self._superblock_size
-            assert addresses is not None and self._bin_leaves is not None
-            leaves = self._bin_leaves.tolist()
-            self._bins = tuple(
-                SuperblockBin(
-                    bin_id=bin_id,
-                    start_index=self._start_index + offset,
-                    block_ids=tuple(addresses[offset : offset + size].tolist()),
-                    leaf=leaves[bin_id],
-                )
-                for bin_id, offset in enumerate(range(0, addresses.size, size))
+        """Every superblock bin in trace order, as objects."""
+        return tuple(
+            SuperblockBin(
+                bin_id=bin_id,
+                start_index=start_index,
+                block_ids=tuple(block_ids.tolist()),
+                leaf=leaf,
             )
-        return self._bins
+            for bin_id, (start_index, block_ids, leaf) in enumerate(
+                self.iter_bin_arrays()
+            )
+        )
 
     def iter_bin_arrays(self) -> Iterator[tuple[int, np.ndarray, int]]:
         """Yield ``(start_index, block_ids, leaf)`` per bin without objects.
 
-        This is the hot-path iteration the array-backed engine uses: block
-        ids stay numpy slices of the window's address array.
+        This is the hot-path iteration the engines use: block ids stay
+        numpy slices of the window's address array.
         """
-        if self._addresses is not None:
-            size = self._superblock_size
-            for bin_id, offset in enumerate(range(0, self._addresses.size, size)):
-                yield (
-                    self._start_index + offset,
-                    self._addresses[offset : offset + size],
-                    int(self._bin_leaves[bin_id]),
-                )
-        else:
-            for sb in self.bins:
-                yield (
-                    sb.start_index,
-                    np.asarray(sb.block_ids, dtype=np.int64),
-                    sb.leaf,
-                )
+        size = self._superblock_size
+        leaves = self._bin_leaves.tolist()
+        for bin_id, offset in enumerate(range(0, self._addresses.size, size)):
+            yield (
+                self._start_index + offset,
+                self._addresses[offset : offset + size],
+                leaves[bin_id],
+            )
 
     @property
     def num_leaves(self) -> int:
@@ -236,10 +186,7 @@ class LookaheadPlan:
         return int(self._uniq[-1]) if self._uniq.size else -1
 
     def __len__(self) -> int:
-        if self._addresses is not None and self._bins is None:
-            size = self._superblock_size
-            return -(-int(self._addresses.size) // size) if self._addresses.size else 0
-        return len(self.bins)
+        return int(self._bin_leaves.size)
 
     def __iter__(self) -> Iterable[SuperblockBin]:
         return iter(self.bins)
@@ -316,7 +263,7 @@ class LookaheadPlan:
 
     def plan_bin_remaps(
         self,
-    ) -> Optional[tuple[list[list[int]], list[tuple[int, int]]]]:
+    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
         """Precompute every bin's remap leaves for a pure window execution.
 
         When ``run_trace`` executes this window bin by bin, the sequence of
@@ -330,12 +277,8 @@ class LookaheadPlan:
         ``j``'s distinct blocks in first-occurrence order, the next bin's
         leaf or ``-1`` (fallback draw); ``final_consumed`` is the
         ``(block_id, occurrence_index)`` state the equivalent call sequence
-        leaves behind, to be applied via :meth:`apply_consumption`.  Only
-        available for plans built through :meth:`from_arrays`; returns
-        ``None`` otherwise.
+        leaves behind, to be applied via :meth:`apply_consumption`.
         """
-        if self._addresses is None:
-            return None
         n = self._num_accesses
         size = self._superblock_size
         if n == 0:

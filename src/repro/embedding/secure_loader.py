@@ -15,39 +15,26 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.oram.base import AccessOp, ObliviousMemory
+from repro.oram.base import ObliviousMemory
 from repro.embedding.table import EmbeddingTable
 
 
 class SecureEmbeddingStore:
     """Embedding table whose rows live inside an oblivious memory engine.
 
-    ``batch_size`` sets the batched-access chunk for engines that support
-    the batched protocol (``SUPPORTS_BATCHED_ACCESS``): each ``fetch_rows``
-    / ``update_rows`` call then amortises path reads and write-backs across
-    up to ``batch_size`` rows.  Engines without the protocol (LAORAM bins,
-    RingORAM, PrORAM, the insecure baseline) ignore it.
+    Every ``fetch_rows``/``update_rows`` call hands the whole batch to the
+    engine's ``access_many``/``write_many``, which batch it however the
+    engine does (LAORAM bins, an engine's ``batch_size`` chunks, or one
+    fused trace).
     """
 
-    def __init__(
-        self,
-        memory: ObliviousMemory,
-        table: EmbeddingTable,
-        batch_size: int | None = None,
-    ):
+    def __init__(self, memory: ObliviousMemory, table: EmbeddingTable):
         if memory.num_blocks < table.num_rows:
             raise ConfigurationError(
                 f"ORAM holds {memory.num_blocks} blocks but the table has "
                 f"{table.num_rows} rows"
             )
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         self.memory = memory
-        self.batch_size = (
-            batch_size
-            if getattr(memory, "SUPPORTS_BATCHED_ACCESS", False)
-            else None
-        )
         self.dim = table.dim
         self.num_rows = table.num_rows
         self.row_nbytes = table.row_nbytes
@@ -60,10 +47,7 @@ class SecureEmbeddingStore:
     def fetch_rows(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Obliviously fetch the embedding vectors for ``row_ids``."""
         ids = self._validate(row_ids)
-        if self.batch_size is not None:
-            payloads = self.memory.access_many(ids.tolist(), batch_size=self.batch_size)
-        else:
-            payloads = self.memory.access_many(ids.tolist())
+        payloads = self.memory.access_many(ids.tolist())
         rows = np.zeros((ids.size, self.dim), dtype=np.float32)
         for index, payload in enumerate(payloads):
             if payload is not None:
@@ -73,29 +57,16 @@ class SecureEmbeddingStore:
     def update_rows(self, row_ids: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Obliviously write updated embedding vectors back.
 
-        Engines that support batched writes (the LAORAM client's
-        ``write_many``) receive the whole batch at once so that rows sharing
-        a path are written back together; other engines take one write
-        access per row.  Duplicate ids within a batch keep their last value,
-        mirroring a sequential write stream.
+        The whole batch goes to the engine's ``write_many``, so rows sharing
+        a path are written back together wherever the engine batches.
+        Duplicate ids within a batch keep their last value, mirroring a
+        sequential write stream.
         """
         ids = self._validate(row_ids)
         values = np.asarray(values, dtype=np.float32)
         if values.shape != (ids.size, self.dim):
             raise ConfigurationError("values shape mismatch")
-        write_many = getattr(self.memory, "write_many", None)
-        if callable(write_many):
-            if self.batch_size is not None:
-                write_many(
-                    ids.tolist(),
-                    [value.copy() for value in values],
-                    batch_size=self.batch_size,
-                )
-            else:
-                write_many(ids.tolist(), [value.copy() for value in values])
-            return
-        for row_id, value in zip(ids.tolist(), values):
-            self.memory.access(int(row_id), AccessOp.WRITE, new_payload=value.copy())
+        self.memory.write_many(ids.tolist(), [value.copy() for value in values])
 
     def materialize(self) -> EmbeddingTable:
         """Read every row back out (test helper verifying data integrity)."""

@@ -51,6 +51,7 @@ from repro.oram.shm import (
     Registry,
     SharedMemoryArrayPool,
     read_registry,
+    tracker_identity,
     unlink_registry,
 )
 
@@ -87,7 +88,11 @@ def _pin_worker_threads() -> None:
 
 
 def _shard_state(engine, num_accesses: int, registry: Registry) -> dict:
-    """Picklable summary of one shard engine's current state."""
+    """Picklable summary of one shard engine's current state.
+
+    ``tracker`` names the resource tracker holding the registry's segment
+    registrations, so the parent knows whether attaching adds its own.
+    """
     return {
         "num_blocks": engine.num_blocks,
         "num_accesses": int(num_accesses),
@@ -97,6 +102,7 @@ def _shard_state(engine, num_accesses: int, registry: Registry) -> dict:
         "server_memory_bytes": engine.server_memory_bytes,
         "total_real_blocks": engine.total_real_blocks(),
         "registry": registry,
+        "tracker": tracker_identity(),
     }
 
 
@@ -307,7 +313,7 @@ class ProcessShardExecutor:
         # so this normally removes nothing; after a hard kill it reclaims
         # whatever the worker left behind.
         for state in self._states.values():
-            unlink_registry(state["registry"])
+            unlink_registry(state["registry"], state["tracker"])
         self._procs = []
         self._requests = []
         self._responses = []
@@ -446,7 +452,7 @@ class ProcessShardExecutor:
         state = self._states.get(shard_id)
         if state is None:
             raise ShardExecutionError(shard_id, message="shard state unknown")
-        return read_registry(state["registry"])
+        return read_registry(state["registry"], state["tracker"])
 
     def position_map(self, shard_id: int) -> np.ndarray:
         """Copy of one shard's live position map (from shared memory)."""

@@ -6,6 +6,7 @@ import enum
 from abc import ABC, abstractmethod
 from typing import Iterable, Optional, Sequence
 
+from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficSnapshot
 
 
@@ -45,6 +46,13 @@ class ObliviousMemory(ABC):
     def access_many(self, block_ids: Sequence[int] | Iterable[int]) -> list[Optional[object]]:
         """Access a sequence of blocks; subclasses may batch these."""
         return [self.access(int(block_id)) for block_id in block_ids]
+
+    def write_many(self, block_ids: Sequence[int], payloads: Sequence[object]) -> None:
+        """Write a sequence of blocks in order; subclasses may batch these."""
+        if len(block_ids) != len(payloads):
+            raise ConfigurationError("block_ids and payloads must have equal length")
+        for block_id, payload in zip(block_ids, payloads):
+            self.write(int(block_id), payload)
 
     @property
     @abstractmethod

@@ -47,7 +47,7 @@ from repro.oram.shm import ArrayAllocator
 from repro.oram.stash import Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
-    fused_greedy_write_back,
+    greedy_write_back,
     plan_batched_write_back,
     plan_greedy_write_back,
 )
@@ -63,18 +63,20 @@ class TreeORAMEngine(ObliviousMemory):
     while reusing the shared internals (`_read_path_into_stash`,
     `_write_back`, background eviction, counters).
 
-    Batching: ``batch_size`` opts a PathORAM-protocol engine into the
-    batched access protocol — :meth:`access_many` chunks requests into
-    batches served by :meth:`_access_batch` (one stash sweep, one grouped
-    multi-path read, one grouped write-back per batch).  Protocol variants
-    whose ``access`` does more than the PathORAM sequence set
-    ``SUPPORTS_BATCHED_ACCESS = False`` and always take the per-access
-    loop, whatever ``batch_size`` says.
+    One access step: :meth:`_access_batch` (one stash sweep, one grouped
+    multi-path read, one grouped write-back) serves :meth:`access` as a
+    batch of one, every :meth:`access_many`/:meth:`write_many` chunk and
+    every LAORAM bin.  ``batch_size`` opts a PathORAM-protocol engine into
+    chunking by it (:meth:`_chunk_length`); protocol variants whose
+    ``access`` does more than the PathORAM sequence set
+    ``SUPPORTS_BATCHED_ACCESS = False`` and always take :meth:`run_trace`,
+    whatever ``batch_size`` says.
     """
 
-    #: Whether the generic batched access protocol (:meth:`_access_batch`)
-    #: is valid for this engine.  Protocol mixins that override ``access``
-    #: (RingORAM online reads, PrORAM superblocks, LAORAM bins) disable it.
+    #: Whether ``batch_size`` chunking through :meth:`_access_batch` is
+    #: valid for this engine.  Protocol mixins that override ``access``
+    #: (RingORAM online reads, PrORAM superblocks) and LAORAM (which chunks
+    #: on its bins) disable it.
     SUPPORTS_BATCHED_ACCESS = True
 
     #: Leaf draws per vectorized RNG refill in :meth:`_draw_leaf`.  0 keeps
@@ -185,36 +187,14 @@ class TreeORAMEngine(ObliviousMemory):
         op: AccessOp = AccessOp.READ,
         new_payload: Optional[object] = None,
     ) -> Optional[object]:
-        """Perform one oblivious access to ``block_id`` (PathORAM sequence)."""
-        self._check_block_id(block_id)
-        self.counter.record_logical_access()
-        self.timing.charge_client_overhead()
+        """Perform one oblivious access to ``block_id``: a batch of one.
 
-        handle = self._stash_lookup(block_id)
-        # oblivious: allow[OBL001] stash-hit fast path is the engine's modeled
-        # behaviour: hits are counted and charged, and callers needing uniform
-        # traffic issue dummy_access explicitly (see docs/static_analysis.md)
-        if handle is None:
-            leaf = self.position_map.get(block_id)
-            self._read_path_into_stash(leaf, dummy=False)
-            handle = self._stash_lookup(block_id)
-            # oblivious: allow[OBL001] integrity check; a missing block aborts
-            # the whole simulation loudly rather than leaking via traffic
-            if handle is None:
-                raise BlockNotFoundError(
-                    f"block {block_id} missing from both stash and its path"
-                )
-            payload = self._serve(handle, op, new_payload)
-            self._remap(handle)
-            self._write_back(leaf)
-        else:
-            self._stash_hits += 1
-            payload = self._serve(handle, op, new_payload)
-            self._remap(handle)
-
-        self._maybe_background_evict()
-        self.counter.observe_stash(len(self.stash))
-        return payload
+        :meth:`_access_batch` on a one-element batch is exactly the PathORAM
+        sequence — stash hit or one path read, serve, remap, write-back,
+        background eviction.
+        """
+        updates = {block_id: new_payload} if op is AccessOp.WRITE else None
+        return self._access_batch([block_id], updates)[0]
 
     def run_trace(
         self,
@@ -270,51 +250,58 @@ class TreeORAMEngine(ObliviousMemory):
             payload_seq = payloads
         return op_seq, payload_seq
 
-    def access_many(
-        self, block_ids: Sequence[int], batch_size: Optional[int] = None
-    ) -> list[Optional[object]]:
-        """Access several blocks, batching when the engine is configured to.
+    def _chunk_length(self) -> Optional[int]:
+        """Length of the next :meth:`access_many` chunk, or ``None``.
 
-        Without an effective batch size (``batch_size`` argument, falling
-        back to the engine's ``batch_size``), or on engines whose protocol
-        does not admit the generic batch (``SUPPORTS_BATCHED_ACCESS`` is
-        false), this delegates to :meth:`run_trace` — the sequential
-        semantics, served by whatever driver the engine fuses it with.
-        With one, requests are chunked and each chunk is served by
-        :meth:`_access_batch`: one grouped multi-path read and one grouped
-        write-back per chunk instead of a path pair per access.
+        ``None`` sends the whole request through :meth:`run_trace` — the
+        sequential semantics, served by whatever driver the engine fuses it
+        with.  Engines configured with a ``batch_size`` whose protocol
+        admits the generic batch (``SUPPORTS_BATCHED_ACCESS``) chunk by
+        it; LAORAM chunks on superblock boundaries.
         """
-        size = batch_size if batch_size is not None else self.batch_size
+        size = self.batch_size
         if size is None or size <= 1 or not self.SUPPORTS_BATCHED_ACCESS:
+            return None
+        return size
+
+    def access_many(self, block_ids: Sequence[int]) -> list[Optional[object]]:
+        """Access several blocks, one :meth:`_access_batch` per chunk.
+
+        Chunks are :meth:`_chunk_length` long: one grouped multi-path read
+        and one grouped write-back per chunk instead of a path pair per
+        access.  Without a chunk length this delegates to :meth:`run_trace`.
+        """
+        if self._chunk_length() is None:
             return self.run_trace(block_ids)
         ids = self._coerce_id_list(block_ids)
         payloads: list[Optional[object]] = []
-        for offset in range(0, len(ids), size):
-            payloads.extend(self._access_batch(ids[offset : offset + size]))
+        offset = 0
+        while offset < len(ids):
+            chunk = ids[offset : offset + self._chunk_length()]
+            payloads.extend(self._access_batch(chunk))
+            offset += len(chunk)
         return payloads
 
     def write_many(
-        self,
-        block_ids: Sequence[int],
-        payloads: Sequence[object],
-        batch_size: Optional[int] = None,
+        self, block_ids: Sequence[int], payloads: Sequence[object]
     ) -> None:
-        """Write several blocks; batched exactly like :meth:`access_many`.
+        """Write several blocks; chunked exactly like :meth:`access_many`.
 
-        Duplicate ids within a batch keep the last payload, mirroring a
+        Duplicate ids within a chunk keep the last payload, mirroring a
         sequential write stream.
         """
         if len(block_ids) != len(payloads):
             raise ConfigurationError("block_ids and payloads must have equal length")
-        size = batch_size if batch_size is not None else self.batch_size
-        if size is None or size <= 1 or not self.SUPPORTS_BATCHED_ACCESS:
+        if self._chunk_length() is None:
             self.run_trace(block_ids, ops=AccessOp.WRITE, payloads=payloads)
             return
         ids = self._coerce_id_list(block_ids)
-        for offset in range(0, len(ids), size):
-            chunk = ids[offset : offset + size]
-            updates = dict(zip(chunk, payloads[offset : offset + size]))
-            self._access_batch(chunk, new_payloads=updates)
+        offset = 0
+        while offset < len(ids):
+            end = offset + self._chunk_length()
+            chunk = ids[offset:end]
+            self._access_batch(chunk, dict(zip(chunk, payloads[offset:end])))
+            offset += len(chunk)
 
     @staticmethod
     def _coerce_id_list(block_ids: Sequence[int]) -> list[int]:
@@ -335,9 +322,10 @@ class TreeORAMEngine(ObliviousMemory):
         distinct path is fetched once, each distinct block is remapped via
         :meth:`_choose_new_leaf` in first-occurrence order, and all fetched
         paths are written back together through :meth:`_write_back_many`.
-        This is also LAORAM's superblock step: its mixin serves every bin
-        here, with ``_choose_new_leaf`` answering from the lookahead plan
-        instead of a uniform draw.  Every step runs through the storage
+        This is every access's step: :meth:`access` is a batch of one, and
+        LAORAM's mixin serves every bin here, with ``_choose_new_leaf``
+        answering from the lookahead plan instead of a uniform draw.  Every
+        step runs through the storage
         hooks, so the reference and array backends execute it
         decision-for-decision identically.
         """
@@ -737,11 +725,6 @@ def _fused_fetch(read_ids, pm, stash_map, leaf):
     stash_map.update(zip(ids.tolist(), pm.take(ids).tolist()))
 
 
-#: Shared by the fused drivers here and in ``ring_oram``; lives with the
-#: other write-back planners (see ``repro.oram.write_back``).
-_fused_write_back = fused_greedy_write_back
-
-
 class ArrayStorageEngine(TreeORAMEngine):
     """Array storage backend: id slot arrays, dict stash, client payload store.
 
@@ -761,6 +744,10 @@ class ArrayStorageEngine(TreeORAMEngine):
     def __init__(self, config: ORAMConfig, **kwargs):
         super().__init__(config, **kwargs)
         self._payloads: dict[int, object] = {}
+        # greedy_write_back scratch: per-level groups (left empty between
+        # calls) and each level's first breadth-first bucket index.
+        self._wb_groups: list[list[int]] = [[] for _ in range(self._depth + 1)]
+        self._wb_node_base = [(1 << level) - 1 for level in range(self._depth + 1)]
         self._bulk_load()
 
     # -- construction ---------------------------------------------------
@@ -957,21 +944,21 @@ class ArrayStorageEngine(TreeORAMEngine):
         pm_item = pm.item
         payload_store = self._payloads
         payload_get = payload_store.get
-        slots = tree.slot_array
+        slots = memoryview(tree.slot_array)
         caps = tree.bucket_capacities
         level_base = tree.level_base
-        node_base = [(1 << level) - 1 for level in range(depth + 1)]
-        groups: list[list[int]] = [[] for _ in range(depth + 1)]
+        node_base = self._wb_node_base
+        groups = self._wb_groups
         # Occupancy is maintained eagerly: the path read zeroes its buckets'
-        # occupancies in one scatter and the write-back writes each visited
-        # level's count — ~1.5 us/access total.  Deferring it (lazy reads +
-        # one vectorized rebuild per sync) measured ~4.5 us/access amortized
-        # at 30k-access traces, so eager wins despite touching occupancy on
-        # every single access.
-        occ = tree.bucket_occupancies
+        # occupancies in one scatter and the write-back reads and writes each
+        # visited level's count through a memoryview.  Deferring it (lazy
+        # reads + one vectorized rebuild per sync) measured ~4.5 us/access
+        # amortized at 30k-access traces, so eager wins despite touching
+        # occupancy on every single access.
+        occ = memoryview(tree.bucket_occupancies)
         read_ids = tree.read_path_ids
         fetch = _fused_fetch
-        write_back = _fused_write_back
+        write_back = greedy_write_back
 
         path_buckets, path_bytes = tree.path_cost(0)
         dt_path = timing.path_transfer_delta(path_buckets, path_bytes)
@@ -1185,9 +1172,10 @@ class ArrayStorageEngine(TreeORAMEngine):
     #: fixed setup (a (k, stash) xor/frexp/argsort pass plus the per-path
     #: gather matrices) only amortizes across enough paths.  Measured per
     #: call on identical state (table in docs/performance.md): per-path
-    #: wins on Fat/S4 bins (k <= 4, ~15-35%), PathORAM batches break even at
-    #: k=6 and the planner wins from k=7 (1.08x, ~1.4x by k=16).
-    BATCHED_WB_MIN_PATHS = 7
+    #: wins on Fat/S4 bins (k <= 4, ~25-40%), Fat/S8 bins break even from
+    #: k=5, PathORAM batches break even at k=6-7 and the planner wins from
+    #: k=8 (1.05-1.14x, ~1.6x at B=64).
+    BATCHED_WB_MIN_PATHS = 8
 
     def _write_back_many(self, leaves: Sequence[int]) -> None:
         """Write back a batch of paths via the cross-path batched planner.
@@ -1222,57 +1210,19 @@ class ArrayStorageEngine(TreeORAMEngine):
             self.timing.charge_path_transfer(num_buckets, num_bytes)
 
     def _commit_write_back(self, leaf: int) -> None:
-        """Greedy write-back onto the path to ``leaf``: one pass over the stash.
-
-        Replicates ``plan_greedy_write_back`` exactly — same eligibility
-        (path-prefix rule), same occupancy awareness and same tie-breaking
-        order.  ``bit_length(leaf xor path)`` groups blocks by deepest
-        common level (xor == 0 -> bit length 0 -> common level == depth);
-        appending in dict order keeps ascending insertion order within a
-        level.  The pool then fills each bucket deepest-first, popping its
-        most recently pooled blocks (LIFO), and the whole path commits in
-        two scatters.
-        """
-        stash = self.stash
-        if not stash:
-            return
+        """Greedy write-back onto the path to ``leaf`` (:func:`greedy_write_back`)."""
         tree = self.tree
-        depth = self._depth
-        groups: list[list[int]] = [[] for _ in range(depth + 1)]
-        for block_id, block_leaf in stash.items():
-            groups[(block_leaf ^ leaf).bit_length()].append(block_id)
-        buckets, occupancies = tree.path_state(leaf)
-        caps = tree.bucket_capacities
-        level_base = tree.level_base
-        pool: list[int] = []
-        chosen_ids: list[int] = []
-        chosen_slots: list[int] = []
-        for level in range(depth, -1, -1):
-            group = groups[depth - level]
-            if group:
-                pool.extend(group)
-            if not pool:
-                continue
-            occupancy = occupancies[level]
-            free = caps[level] - occupancy
-            if free <= 0:
-                continue
-            take = free if free < len(pool) else len(pool)
-            # Popping one by one from the pool's tail == reversed slice.
-            chosen_ids.extend(pool[: -take - 1 : -1])
-            del pool[-take:]
-            slot = (
-                level_base[level]
-                + (leaf >> (depth - level)) * caps[level]
-                + occupancy
-            )
-            chosen_slots.extend(range(slot, slot + take))
-            occupancies[level] = occupancy + take
-        if chosen_ids:
-            # Capacity is respected by construction (take <= free).
-            tree.commit_path_write(buckets, occupancies, chosen_slots, chosen_ids)
-            for victim in chosen_ids:
-                del stash[victim]
+        greedy_write_back(
+            self.stash,
+            self._wb_groups,
+            tree.bucket_capacities,
+            tree.level_base,
+            self._wb_node_base,
+            memoryview(tree.slot_array),
+            memoryview(tree.bucket_occupancies),
+            self._depth,
+            leaf,
+        )
 
     def _remove_from_path(self, leaf: int, block_id: int) -> Optional[int]:
         if self.tree.remove_on_path(leaf, block_id):

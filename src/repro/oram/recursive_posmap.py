@@ -60,7 +60,7 @@ from repro.memory.accounting import TrafficCounter
 from repro.oram.position_map import _as_int_array
 from repro.oram.shm import DEFAULT_ALLOCATOR, ArrayAllocator
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import fused_greedy_write_back
+from repro.oram.write_back import greedy_write_back
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
 
@@ -119,8 +119,8 @@ class _RecursionLevel:
             int(block): int(self.labels[block]) for block in overflow.tolist()
         }
         # Bound fused write-back operands (same shape the trace drivers use).
-        self.slots = self.tree.slot_array
-        self.occ = self.tree.bucket_occupancies
+        self.slots = memoryview(self.tree.slot_array)
+        self.occ = memoryview(self.tree.bucket_occupancies)
         self.caps = self.tree.bucket_capacities
         self.level_base = self.tree.level_base
         self.node_base = [(1 << level) - 1 for level in range(depth + 1)]
@@ -358,7 +358,7 @@ class RecursivePositionMap:
             # oblivious: allow[OBL001] write-back only follows a real path
             # read (stash hits moved no data), mirroring the main engine
             if not hit:
-                fused_greedy_write_back(
+                greedy_write_back(
                     stash,
                     level.groups,
                     level.caps,

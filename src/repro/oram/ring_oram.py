@@ -40,7 +40,7 @@ from repro.oram.engine import (
     _fused_fetch,
 )
 from repro.oram.position_map import PositionMap
-from repro.oram.write_back import fused_greedy_write_back as _fused_write_back
+from repro.oram.write_back import greedy_write_back
 
 
 def reverse_lexicographic_leaf(counter: int, depth: int) -> int:
@@ -242,9 +242,8 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         """One-loop RingORAM execution over the engine's dict stash.
 
         Decision-identical to the per-access protocol: detach moves the
-        target out of the stash, a scheduled evict-path empties the path
-        before its write-back (so the shared zero-occupancy write-back
-        helper applies), and reshuffle checks run against the same bucket
+        target out of the stash, a scheduled evict-path runs the shared
+        greedy write-back right after its read, and reshuffle checks run against the same bucket
         read counts in the same order.  All counter/timing charges accumulate
         in locals and flush on exit.
         """
@@ -273,17 +272,17 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         pm_item = pm.item
         payload_store = self._payloads
         payload_get = payload_store.get
-        slots = tree.slot_array
-        occ = tree.bucket_occupancies
+        slots = memoryview(tree.slot_array)
+        occ = memoryview(tree.bucket_occupancies)
         caps = tree.bucket_capacities
         level_base = tree.level_base
-        node_base = [(1 << level) - 1 for level in range(depth + 1)]
-        groups = [[] for _ in range(depth + 1)]
+        node_base = self._wb_node_base
+        groups = self._wb_groups
         read_ids = tree.read_path_ids
         path_nodes = tree.path_nodes
         remove_on_path = tree.remove_on_path
         fetch = _fused_fetch
-        write_back = _fused_write_back
+        write_back = greedy_write_back
 
         # Per-charge deltas, memoised per geometry exactly as the live
         # protocol's charge_path_transfer calls would be.

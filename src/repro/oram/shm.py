@@ -31,7 +31,8 @@ still-live view and disappears with the process.
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
+import os
+from multiprocessing import resource_tracker, shared_memory
 from typing import Iterable
 
 import numpy as np
@@ -68,9 +69,6 @@ class ArrayAllocator:
         """
         return array
 
-    def release(self, array: np.ndarray) -> None:
-        """Drop an array this allocator handed out (growth/relayout)."""
-
     def registry(self) -> Registry:
         """Descriptors of the live shared arrays (empty when not shared)."""
         return {}
@@ -88,8 +86,8 @@ class SharedMemoryArrayPool(ArrayAllocator):
 
     ``prefix`` namespaces the segment names (the executor uses one prefix
     per run and one suffix per shard, so a crashed run can be swept by
-    prefix).  Re-allocating a logical name (stash growth, tree relayout)
-    creates the new segment first, then unlinks the outgrown one — existing
+    prefix).  Re-allocating a logical name (a tree relayout) creates the
+    new segment first, then unlinks the outgrown one — existing
     mappings stay readable until the process exits, but the name is gone,
     so nothing can leak past the worker's lifetime.
     """
@@ -137,13 +135,6 @@ class SharedMemoryArrayPool(ArrayAllocator):
         shared[...] = array
         return shared
 
-    def release(self, array: np.ndarray) -> None:
-        for name, (segment, live_array) in list(self._live.items()):
-            if live_array is array:
-                del self._live[name]
-                self._discard(segment)
-                return
-
     def _discard(self, segment: shared_memory.SharedMemory) -> None:
         """Unlink a segment now; close it when its buffer is releasable."""
         try:
@@ -188,28 +179,55 @@ class SharedMemoryArrayPool(ArrayAllocator):
 # ----------------------------------------------------------------------
 # Parent-side helpers
 # ----------------------------------------------------------------------
+TrackerId = tuple[int, int]
+
+
+def tracker_identity() -> TrackerId:
+    """Identity of this process's resource tracker: its pipe's (device, inode).
+
+    Processes talking to one tracker — a fork taken while the parent's
+    tracker was running, or any spawn/forkserver child — report the same
+    identity; a fork taken before the parent started one runs its own.
+    Starts the tracker if it is not running yet, as the first segment
+    creation or attach would.
+    """
+    status = os.fstat(resource_tracker.getfd())
+    return status.st_dev, status.st_ino
+
+
 def _untrack(segment: shared_memory.SharedMemory) -> None:
     """Drop this process's resource_tracker registration for ``segment``.
 
     Attaching registers the name with the tracker (through Python 3.12),
     but ``close()`` never unregisters — so a parent that attaches to
-    worker-owned segments accumulates stale entries and warns at shutdown
-    about "leaked" segments the worker already unlinked.  Private API,
-    hence the broad guard.
+    worker-owned segments through its own tracker accumulates stale
+    entries and warns at shutdown about "leaked" segments the worker
+    already unlinked.  Private API, hence the broad guard.
     """
     try:
-        from multiprocessing import resource_tracker
-
         resource_tracker.unregister(segment._name, "shared_memory")
     except Exception:
         pass
 
 
-def detach_segments(segments: Iterable[shared_memory.SharedMemory]) -> None:
-    """Close attached segments without unlinking (the worker owns them)."""
+def detach_segments(
+    segments: Iterable[shared_memory.SharedMemory], owner_tracker: TrackerId
+) -> None:
+    """Close attached segments without unlinking (their owner unlinks them).
+
+    ``owner_tracker`` is the :func:`tracker_identity` of the process that
+    created them.  A tracker holds each name once, so on a tracker shared
+    with the owner the attach re-registered a name the owner already holds
+    (a no-op); unregistering it would strip the owner's registration and
+    make the owner's own unlink fail inside the tracker with a
+    ``KeyError``.  This process's registration is dropped only when the
+    attach went to another tracker and so added one.
+    """
+    untrack = owner_tracker != tracker_identity()
     for segment in segments:
         segment.close()
-        _untrack(segment)
+        if untrack:
+            _untrack(segment)
 
 
 def attach_registry(
@@ -219,7 +237,7 @@ def attach_registry(
 
     The views alias worker memory — zero copies.  The caller must drop all
     views, then release the segments with :func:`detach_segments` (a bare
-    ``close()`` leaves a stale resource_tracker registration behind).
+    ``close()`` can leave a stale resource_tracker registration behind).
     """
     views: dict[str, np.ndarray] = {}
     segments: list[shared_memory.SharedMemory] = []
@@ -230,25 +248,29 @@ def attach_registry(
     return views, segments
 
 
-def read_registry(registry: Registry) -> dict[str, np.ndarray]:
+def read_registry(
+    registry: Registry, owner_tracker: TrackerId
+) -> dict[str, np.ndarray]:
     """Copy every array of ``registry`` out of shared memory.
 
     Used for snapshots that must outlive the worker; the transfer itself is
-    a straight memcpy out of the segment (no pickling).
+    a straight memcpy out of the segment (no pickling).  ``owner_tracker``
+    is the creating process's :func:`tracker_identity`.
     """
     views, segments = attach_registry(registry)
     arrays = {name: np.array(view) for name, view in views.items()}
     del views
-    detach_segments(segments)
+    detach_segments(segments, owner_tracker)
     return arrays
 
 
-def unlink_registry(registry: Registry) -> list[str]:
+def unlink_registry(registry: Registry, owner_tracker: TrackerId) -> list[str]:
     """Force-unlink every segment of ``registry``; returns the names removed.
 
     Parent-side crash sweep: normally the worker unlinks its own segments
     (even on error, via the worker loop's ``finally``), so this finds
     nothing; after a hard kill it reclaims whatever the worker left.
+    ``owner_tracker`` is the creating process's :func:`tracker_identity`.
     """
     removed: list[str] = []
     for _name, (segment_name, _shape, _dtype) in registry.items():
@@ -261,9 +283,8 @@ def unlink_registry(registry: Registry) -> list[str]:
             removed.append(segment_name)
         except FileNotFoundError:
             # unlink() unregisters only on success; drop the registration
-            # the attach above created so the tracker stays quiet.
-            segment.close()
-            _untrack(segment)
+            # the attach above added, if it added one.
+            detach_segments([segment], owner_tracker)
             continue
         segment.close()
     return removed

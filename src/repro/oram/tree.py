@@ -255,7 +255,6 @@ class ArrayTreeStorage:
         self._scratch_gather = np.empty(self._path_slots, dtype=np.int64)
         self._scratch_mask = np.empty(self._path_slots, dtype=bool)
         self._scratch_nodes = np.empty(depth + 1, dtype=np.int64)
-        self._scratch_occ = np.empty(depth + 1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Geometry helpers (same accounting as TreeStorage)
@@ -384,8 +383,8 @@ class ArrayTreeStorage:
     def bucket_occupancies(self) -> np.ndarray:
         """Per-bucket occupancy counters, breadth-first (no copy).
 
-        Read-only view for write-back planners; mutations must go through
-        the commit methods so slots and counters stay in sync.
+        Written only together with the slots they count (see
+        :attr:`slot_array`).
         """
         return self._occ
 
@@ -430,45 +429,16 @@ class ArrayTreeStorage:
         self._occ[bucket] = occ - 1
         return True
 
-    def path_state(self, leaf: int) -> tuple[np.ndarray, list[int]]:
-        """Bucket indices and current occupancies of the path to ``leaf``.
-
-        Returns ``(buckets, occupancies)`` ordered root to leaf; callers that
-        plan a whole-path write-back mutate the occupancy list and commit it
-        with :meth:`commit_path_write`.  ``buckets`` is the node scratch
-        (valid until the next path call); the occupancy list is gathered
-        through the occupancy scratch so nothing but the list is allocated.
-        """
-        buckets = self.path_nodes(leaf)
-        occ = self._scratch_occ
-        np.take(self._occ, buckets, out=occ)
-        return buckets, occ.tolist()
-
     @property
     def slot_array(self) -> np.ndarray:
-        """The flat slot array (no copy), for the fused trace driver.
+        """The flat slot array (no copy), written in place by write-backs.
 
         Writes must preserve the commit invariants (occupied slots are the
-        dense prefix of each bucket, ``occ`` in sync); everything else goes
-        through the commit methods.
+        dense prefix of each bucket, ``occ`` in sync), as
+        :func:`~repro.oram.write_back.greedy_write_back` and
+        :meth:`commit_batch_write` do.
         """
         return self._slots
-
-    def commit_path_write(
-        self,
-        buckets: np.ndarray,
-        occupancies: Sequence[int],
-        slot_indices: Sequence[int],
-        values: np.ndarray,
-    ) -> None:
-        """Scatter a planned write-back in two vectorized assignments.
-
-        ``slot_indices``/``values`` are the flat slot positions and block ids
-        chosen by the caller (who guarantees they respect bucket capacity);
-        ``occupancies`` is the path's updated per-bucket occupancy.
-        """
-        self._slots[slot_indices] = values
-        self._occ[buckets] = occupancies
 
     def commit_batch_write(
         self,
@@ -479,8 +449,9 @@ class ArrayTreeStorage:
     ) -> None:
         """Scatter a write-back planned over the union of several paths.
 
-        Same contract as :meth:`commit_path_write` but ``buckets`` /
-        ``occupancies`` cover only the buckets the batched planner actually
+        ``slot_indices``/``values`` are the flat slot positions and block ids
+        the planner chose (it guarantees they respect bucket capacity);
+        ``buckets``/``occupancies`` cover only the buckets it actually
         touched (they may span many paths), so one batch commits in two
         scatters regardless of how many paths it wrote.
         """

@@ -8,19 +8,19 @@ actually has.  That matters for LAORAM, which can read several paths before
 writing them back, so later write-backs see buckets that earlier write-backs
 already refilled.
 
-Two planners live here:
+Three functions live here:
 
 * :func:`plan_greedy_write_back` — the per-object, single-path reference
-  (the array engine replicates it slot-by-slot in
-  ``ArrayStorageEngine._commit_write_back``);
+  planner and the oracle the array functions are tested against;
+* :func:`greedy_write_back` — the array backend's one greedy core: the same
+  rule over the ``{id: leaf}`` dict stash, committing straight into the
+  slot and occupancy arrays.  The fused trace drivers, the recursion levels
+  and ``ArrayStorageEngine._commit_write_back`` all run it;
 * :func:`plan_batched_write_back` — the cross-path batch planner for the
   array backend: it groups the whole stash against *all* of a batch's paths
   in one vectorized xor/frexp/argsort pass, then replays the sequential
   per-path greedy selection over the shared bucket state, so committing its
-  plan is bit-identical to writing the paths back one at a time;
-* :func:`fused_greedy_write_back` — the allocation-free specialization the
-  fused trace drivers run: same greedy rule over the array backend's dict stash,
-  valid only immediately after the target path has been emptied by a read.
+  plan is bit-identical to writing the paths back one at a time.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def plan_batched_write_back(
     from the stash — one scatter, regardless of how many paths the batch
     spans.
 
-    The plan is bit-identical to writing the paths back sequentially (the
-    per-path ``_commit_write_back`` loop) because each decision is replayed
+    The plan is bit-identical to writing the paths back sequentially (a
+    :func:`greedy_write_back` per path) because each decision is replayed
     in the same order:
 
     * eligibility/grouping: one vectorized xor pass computes every (path,
@@ -192,30 +192,36 @@ def plan_batched_write_back(
     return victims, slots, list(occ.keys()), list(occ.values())
 
 
-def fused_greedy_write_back(
+def greedy_write_back(
     stash_map, groups, caps, level_base, node_base, slots, occ, depth, leaf
 ):
-    """Greedy write-back from the dict stash onto a freshly read path.
+    """Greedy write-back from the dict stash onto the path to ``leaf``.
 
-    The fused trace drivers' specialization of :func:`plan_greedy_write_back`
-    for the one case they are always in: the path to ``leaf`` was just
-    emptied by a full read, so every bucket on it has occupancy zero and the
-    plan/commit split collapses into direct scalar slot writes.  Dict
-    iteration order is insertion order — the order the reference stash
-    enumerates — so grouping by xor bit length, LIFO pool selection and
-    ascending slot assignment are all decision-identical to the reference
-    planner; the scalar occupancy write per visited level equals the
-    planner's full-path scatter because unvisited levels hold zero either
-    way.  Chosen blocks are deleted from ``stash_map`` in place.
+    The array backend's form of :func:`plan_greedy_write_back`, planning and
+    committing in one pass: dict iteration order is insertion order — the
+    order the reference stash enumerates — so grouping by xor bit length,
+    LIFO pool selection and ascending slot assignment are all
+    decision-identical to the reference planner.  Each visited bucket is
+    filled from its current occupancy ``used`` onwards (slot
+    ``level_base + node * cap + used``) and its counter becomes
+    ``used + take``; full buckets are skipped.  A freshly read path has
+    every occupancy at zero; a path sharing buckets with one written
+    earlier in the same batch does not.  Chosen blocks are deleted from
+    ``stash_map`` in place.
 
-    ``groups`` is caller-owned scratch (``depth + 1`` empty lists, left
-    empty again on return via clear-on-consume) so the steady-state loop
-    allocates nothing beyond one small pool list.  Every stash entry is
-    eligible — both leaves live below ``2**depth`` so the xor bit length
-    never exceeds ``depth`` — and the level walk only runs where there is
-    work: it starts at the deepest non-empty group and, whenever the pool
-    drains, jumps straight to the next non-empty group instead of
-    stepping through levels that cannot place anything.
+    ``slots``/``occ`` are the tree's flat slot and per-bucket occupancy
+    arrays; callers pass memoryviews of them, whose scalar reads return
+    Python ints and whose scalar writes skip numpy's dispatch (a numpy
+    array works too, only slower).  ``groups`` is caller-owned scratch
+    (``depth + 1`` empty lists, left empty again on return via
+    clear-on-consume) and ``node_base[level]`` is the breadth-first index
+    of the level's first bucket, so the steady-state loop allocates nothing
+    beyond one small pool list.  Every stash entry is eligible — both
+    leaves live below ``2**depth`` so the xor bit length never exceeds
+    ``depth`` — and the level walk only runs where there is work: it starts
+    at the deepest non-empty group and, whenever the pool drains, jumps
+    straight to the next non-empty group instead of stepping through levels
+    that cannot place anything.
     """
     present = []
     for resident, resident_leaf in stash_map.items():
@@ -243,13 +249,17 @@ def fused_greedy_write_back(
                 break
             level = depth - present[gi]
             continue
-        cap = caps[level]
-        take = cap if cap < count else count
         node = leaf >> (depth - level)
-        slot = level_base[level] + node * cap
-        for offset in range(take):
-            victim = pool.pop()
-            slots[slot + offset] = victim
-            del stash_map[victim]
-        occ[node_base[level] + node] = take
+        bucket = node_base[level] + node
+        used = occ[bucket]
+        cap = caps[level]
+        free = cap - used
+        if free > 0:
+            take = free if free < count else count
+            slot = level_base[level] + node * cap + used
+            for offset in range(take):
+                victim = pool.pop()
+                slots[slot + offset] = victim
+                del stash_map[victim]
+            occ[bucket] = used + take
         level -= 1

@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import LAORAMConfig
 from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError, StashOverflowError
 from repro.oram.array_path_oram import ArrayPathORAM
@@ -211,11 +211,9 @@ class TestPlacementRegressions:
         config = make_laoram_config(num_blocks=64, superblock_size=2, seed=5)
         engine = engine_cls(config)
         plan = LookaheadPlan(
-            [
-                SuperblockBin(0, 0, block_ids=(1, 2), leaf=3),
-                SuperblockBin(1, 2, block_ids=(9, 3), leaf=6),
-                SuperblockBin(2, 4, block_ids=(9, 4), leaf=1),
-            ],
+            np.asarray([1, 2, 9, 3, 9, 4]),
+            np.asarray([3, 6, 1]),
+            superblock_size=2,
             num_leaves=engine.config.num_leaves,
         )
         engine.set_plan(plan)
@@ -264,10 +262,9 @@ class TestPlanLeafValidation:
         engine = engine_cls(config)
         bad_leaf = engine.config.num_leaves + 5
         plan = LookaheadPlan(
-            [
-                SuperblockBin(0, 0, block_ids=(1, 2), leaf=3),
-                SuperblockBin(1, 2, block_ids=(1, 4), leaf=bad_leaf),
-            ],
+            np.asarray([1, 2, 1, 4]),
+            np.asarray([3, bad_leaf]),
+            superblock_size=2,
             num_leaves=2 * engine.config.num_leaves,
         )
         engine.set_plan(plan)

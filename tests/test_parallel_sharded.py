@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -175,3 +178,48 @@ def test_worker_thread_pinning_env(monkeypatch):
     monkeypatch.setenv("REPRO_WORKER_THREADS", "3")
     _pin_worker_threads()
     assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
+_SNAPSHOT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from multiprocessing import resource_tracker
+
+    from repro.experiments.sharded import ShardedRunner
+
+    if __name__ == "__main__":
+        if sys.argv[1] == "1":
+            resource_tracker.ensure_running()
+        runner = ShardedRunner(
+            4096, 2, family="pathoram", seed=2, num_workers=1
+        )
+        runner.run_trace(list(range(100)))
+        maps = runner.position_maps()
+        runner.close()
+        assert len(maps) == 2
+    """
+)
+
+
+@pytest.mark.parametrize("tracker_started_first", [False, True])
+def test_position_map_snapshot_leaves_resource_tracker_quiet(tracker_started_first):
+    # A tracker running before the workers fork is shared with them: the
+    # parent's attach registers nothing new, so it must not unregister the
+    # worker's registration (the tracker then printed a KeyError for every
+    # segment when the worker unlinked it).  A tracker started later is
+    # the parent's own, whose registrations the snapshot must drop.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _SNAPSHOT_SCRIPT, str(int(tracker_started_first))],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "KeyError" not in result.stderr
+    assert "leaked shared_memory" not in result.stderr

@@ -7,12 +7,10 @@ from repro.core.superblock import LookaheadPlan, SuperblockBin
 
 
 def make_plan():
-    bins = [
-        SuperblockBin(bin_id=0, start_index=0, block_ids=(5, 7, 5, 9), leaf=3),
-        SuperblockBin(bin_id=1, start_index=4, block_ids=(2, 5, 11, 7), leaf=6),
-        SuperblockBin(bin_id=2, start_index=8, block_ids=(9, 9), leaf=1),
-    ]
-    return LookaheadPlan(bins, num_leaves=16)
+    # Bins of 4: (5, 7, 5, 9) on leaf 3, (2, 5, 11, 7) on leaf 6, (9, 9) on leaf 1.
+    addresses = np.asarray([5, 7, 5, 9, 2, 5, 11, 7, 9, 9], dtype=np.int64)
+    leaves = np.asarray([3, 6, 1], dtype=np.int64)
+    return LookaheadPlan(addresses, leaves, superblock_size=4, num_leaves=16)
 
 
 class TestSuperblockBin:
@@ -37,6 +35,10 @@ class TestLookaheadPlan:
         plan = make_plan()
         assert len(plan) == 3
         assert [sb.bin_id for sb in plan] == [0, 1, 2]
+        assert plan.bins[1] == SuperblockBin(
+            bin_id=1, start_index=4, block_ids=(2, 5, 11, 7), leaf=6
+        )
+        assert plan.bins[2].block_ids == (9, 9)
 
     def test_next_leaf_finds_following_occurrence(self):
         plan = make_plan()
@@ -73,37 +75,23 @@ class TestLookaheadPlan:
         assert make_plan().metadata_bytes() == 2 * 10
         # A wide tree needs wider path fields: 2^20 leaves -> 3 leaf bytes.
         wide = LookaheadPlan(
-            [SuperblockBin(0, 0, block_ids=(70_000, 2), leaf=9)],
+            np.asarray([70_000, 2]),
+            np.asarray([9]),
+            superblock_size=2,
             num_leaves=1 << 20,
         )
         assert wide.metadata_bytes() == 2 * (3 + 3)
 
     def test_invalid_num_leaves_rejected(self):
         with pytest.raises(ValueError):
-            LookaheadPlan([], num_leaves=1)
+            LookaheadPlan(np.empty(0), np.empty(0), superblock_size=4, num_leaves=1)
 
 
 class TestFromArrays:
-    def test_matches_classic_construction(self):
-        addresses = np.asarray([5, 7, 5, 9, 2, 5, 11, 7, 9, 9], dtype=np.int64)
-        leaves = np.asarray([3, 6, 1], dtype=np.int64)
-        plan = LookaheadPlan.from_arrays(
-            addresses, leaves, superblock_size=4, num_leaves=16
-        )
-        classic = make_plan()
-        assert plan.bins == classic.bins
-        assert plan.num_accesses == classic.num_accesses
-        for block_id in (2, 5, 7, 9, 11, 123):
-            assert plan.occurrences(block_id) == classic.occurrences(block_id)
-            for after in (-1, 0, 3, 9):
-                assert plan.next_leaf(block_id, after) == classic.next_leaf(
-                    block_id, after
-                )
-
     def test_iter_bin_arrays_matches_bins(self):
         addresses = np.arange(10, dtype=np.int64)
         leaves = np.asarray([4, 2, 7], dtype=np.int64)
-        plan = LookaheadPlan.from_arrays(
+        plan = LookaheadPlan(
             addresses, leaves, superblock_size=4, num_leaves=8, start_index=50
         )
         seen = [
@@ -116,7 +104,7 @@ class TestFromArrays:
 
     def test_bin_leaf_count_must_match(self):
         with pytest.raises(ValueError):
-            LookaheadPlan.from_arrays(
+            LookaheadPlan(
                 np.arange(10), np.asarray([1]), superblock_size=4, num_leaves=8
             )
 
