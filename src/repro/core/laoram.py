@@ -140,14 +140,18 @@ class LookaheadClientMixin:
         the same leaf again (which an adversary could link).  Blocks are
         re-placed in block-id order, the order of the initial bulk load;
         payloads are preserved.
+
+        Only the planned ``(block id, leaf)`` pairs are materialised
+        (:meth:`LookaheadPlan.first_leaves`), and the array backend
+        re-places into its existing tree arrays a chunk of ids at a time,
+        so placement costs little memory beyond what the store already
+        holds.
         """
         if self.counter.logical_accesses:
             raise ConfigurationError(
                 "initial placement can only be applied before any access"
             )
-        initial = plan.initial_leaves(self.config.num_blocks)
-        planned = np.nonzero(initial >= 0)[0]
-        self.position_map.load_many(planned, initial[planned])
+        self.position_map.load_many(*plan.first_leaves(self.config.num_blocks))
         plan.consume_first_occurrences(self.config.num_blocks)
         self._relayout_tree(by_id=True)
 

@@ -65,8 +65,11 @@ class LookaheadPlan:
 
     Internally the plan keeps three parallel arrays sorted by ``(block id,
     occurrence index)``: the block id, the global trace index and the bin
-    leaf of every planned access.  Per-block occurrence lookups are two
-    ``searchsorted`` calls; no per-access Python objects are created.
+    leaf of every planned access.  A per-block occurrence lookup is one
+    ``bisect`` over a memoryview of the occurrence array within the
+    block's range; no per-access Python objects are created.  Initial
+    placement reads only the planned ``(block id, first leaf)`` pairs
+    (:meth:`first_leaves`), never a table-sized array.
     """
 
     def __init__(
@@ -105,39 +108,46 @@ class LookaheadPlan:
         self._num_leaves = num_leaves
         self._num_accesses = int(n)
         # Group occurrences by block id with one stable sort; within a block
-        # the occurrence indices stay in increasing trace order.
+        # the occurrence indices stay in increasing trace order.  The sort
+        # order becomes each occurrence's bin index in place.
         order = np.argsort(addresses, kind="stable")
         self._sorted_ids = addresses[order]
-        self._sorted_occ = start_index + order
-        self._sorted_leaf = bin_leaves[order // superblock_size]
-        self._uniq, self._starts = np.unique(self._sorted_ids, return_index=True)
-        self._ends = np.append(self._starts[1:], self._sorted_ids.size)
-        # Python-side mirrors for the per-access lookup path (next_leaf /
-        # consume_next_leaf / occurrences): dict + bisect runs ~10x faster
-        # than per-call searchsorted on tiny array views.  Built lazily so
-        # the vectorized engine, which executes whole windows through
-        # plan_bin_remaps(), never pays the O(n) list/dict construction.
-        self._occ_list: Optional[list[int]] = None
-        self._leaf_list: Optional[list[int]] = None
-        self._ranges: Optional[dict[int, tuple[int, int]]] = None
-        # Highest occurrence index already handed out by consume_next_leaf;
-        # ensures every planned path is used as a reassignment at most once.
-        self._consumed_up_to: dict[int, int] = {}
+        self._sorted_occ = order + start_index
+        np.floor_divide(order, superblock_size, out=order)
+        self._sorted_leaf = bin_leaves[order]
+        del order
+        # Per-block ranges from one boundary pass over the sorted ids (the
+        # ids are already sorted, so no second sort as in ``np.unique``).
+        boundary = np.empty(n, dtype=bool)
+        boundary[:1] = True
+        np.not_equal(self._sorted_ids[1:], self._sorted_ids[:-1], out=boundary[1:])
+        self._starts = np.flatnonzero(boundary)
+        del boundary
+        self._uniq = self._sorted_ids[self._starts]
+        self._ends = np.append(self._starts[1:], n)
+        # Highest occurrence index already handed out by consume_next_leaf,
+        # per planned block (``-1`` = none); ensures every planned path is
+        # used as a reassignment at most once.
+        self._consumed = np.full(self._uniq.size, -1, dtype=np.int64)
+        # Per-access lookups (next_leaf / consume_next_leaf / occurrences)
+        # find the block's position among the planned blocks in a dict,
+        # then read zero-copy memoryviews of the per-block and per-access
+        # arrays and bisect the block's occurrence range: ~10x faster than
+        # per-call searchsorted on tiny array views, and no per-access
+        # Python objects.  The dict is built lazily so the vectorized window
+        # execution (plan_bin_remaps) never pays for it.
+        self._occ_view = memoryview(self._sorted_occ)
+        self._leaf_view = memoryview(self._sorted_leaf)
+        self._starts_view = memoryview(self._starts)
+        self._ends_view = memoryview(self._ends)
+        self._consumed_view = memoryview(self._consumed)
+        self._index: Optional[dict[int, int]] = None
 
-    def _lookup_tables(
-        self,
-    ) -> tuple[list[int], list[int], dict[int, tuple[int, int]]]:
-        """Occurrence/leaf lists and per-block ranges for bisect lookups."""
-        if self._ranges is None:
-            self._occ_list = self._sorted_occ.tolist()
-            self._leaf_list = self._sorted_leaf.tolist()
-            self._ranges = dict(
-                zip(
-                    self._uniq.tolist(),
-                    zip(self._starts.tolist(), self._ends.tolist()),
-                )
-            )
-        return self._occ_list, self._leaf_list, self._ranges
+    def _block_index(self, block_id: int) -> Optional[int]:
+        """Position of ``block_id`` among the planned blocks, ``None`` if unplanned."""
+        if self._index is None:
+            self._index = dict(zip(self._uniq.tolist(), range(self._uniq.size)))
+        return self._index.get(block_id)
 
     # ------------------------------------------------------------------
     @property
@@ -199,15 +209,14 @@ class LookaheadPlan:
         planned window, in which case the client falls back to a uniformly
         random path (the plan then carries no information about the block).
         """
-        occ_list, leaf_list, ranges = self._lookup_tables()
-        bounds = ranges.get(block_id)
-        if bounds is None:
+        index = self._block_index(block_id)
+        if index is None:
             return None
-        start, end = bounds
-        pos = bisect_right(occ_list, after_index, start, end)
+        end = self._ends_view[index]
+        pos = bisect_right(self._occ_view, after_index, self._starts_view[index], end)
         if pos >= end:
             return None
-        return leaf_list[pos]
+        return self._leaf_view[pos]
 
     def consume_next_leaf(self, block_id: int, after_index: int) -> Optional[int]:
         """Like :meth:`next_leaf`, but each planned occurrence is used once.
@@ -219,30 +228,29 @@ class LookaheadPlan:
         accesses.  Consuming occurrences makes every reassignment an
         independent uniform draw, exactly as in PathORAM.
         """
-        occ_list, leaf_list, ranges = self._lookup_tables()
-        bounds = ranges.get(block_id)
-        if bounds is None:
+        index = self._block_index(block_id)
+        if index is None:
             return None
-        start, end = bounds
-        floor = max(after_index, self._consumed_up_to.get(block_id, -1))
-        pos = bisect_right(occ_list, floor, start, end)
+        end = self._ends_view[index]
+        occ = self._occ_view
+        floor = max(after_index, self._consumed_view[index])
+        pos = bisect_right(occ, floor, self._starts_view[index], end)
         if pos >= end:
             return None
-        self._consumed_up_to[block_id] = occ_list[pos]
-        return leaf_list[pos]
+        self._consumed_view[index] = occ[pos]
+        return self._leaf_view[pos]
 
-    def initial_leaves(self, num_blocks: int) -> np.ndarray:
-        """First-occurrence leaf per block id, ``-1`` for blocks not planned.
+    def first_leaves(self, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(block_ids, leaves)``: each planned block's first-occurrence leaf.
 
         Used by trusted-setup initial placement: block ``b`` should start on
         the path of the superblock bin containing its first planned access.
-        Only ids below ``num_blocks`` are reported.
+        Only ids below ``num_blocks`` are reported, in ascending order; the
+        arrays are as long as the window's distinct blocks, never
+        ``num_blocks``.
         """
-        out = np.full(num_blocks, -1, dtype=np.int64)
-        if self._uniq.size:
-            mask = (self._uniq >= 0) & (self._uniq < num_blocks)
-            out[self._uniq[mask]] = self._sorted_leaf[self._starts[mask]]
-        return out
+        mask = (self._uniq >= 0) & (self._uniq < num_blocks)
+        return self._uniq[mask], self._sorted_leaf[self._starts[mask]]
 
     def consume_first_occurrences(self, num_blocks: int) -> None:
         """Mark occurrence 0 of every planned block (id < ``num_blocks``) consumed.
@@ -252,18 +260,14 @@ class LookaheadPlan:
         handed the *same* leaf again, producing a linkable repeated-leaf
         observation.  Equivalent to ``consume_next_leaf(b, -1)`` per block.
         """
-        if not self._uniq.size:
-            return
         mask = (self._uniq >= 0) & (self._uniq < num_blocks)
-        ids = self._uniq[mask].tolist()
-        first_occ = self._sorted_occ[self._starts[mask]].tolist()
-        for block_id, occ in zip(ids, first_occ):
-            if self._consumed_up_to.get(block_id, -1) < occ:
-                self._consumed_up_to[block_id] = occ
+        first = self._sorted_occ[self._starts[mask]]
+        np.maximum(self._consumed[mask], first, out=first)
+        self._consumed[mask] = first
 
     def plan_bin_remaps(
         self,
-    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    ) -> tuple[list[list[int]], tuple[np.ndarray, np.ndarray]]:
         """Precompute every bin's remap leaves for a pure window execution.
 
         When ``run_trace`` executes this window bin by bin, the sequence of
@@ -276,13 +280,14 @@ class LookaheadPlan:
         Returns ``(remaps, final_consumed)``: ``remaps[j]`` lists, for bin
         ``j``'s distinct blocks in first-occurrence order, the next bin's
         leaf or ``-1`` (fallback draw); ``final_consumed`` is the
-        ``(block_id, occurrence_index)`` state the equivalent call sequence
-        leaves behind, to be applied via :meth:`apply_consumption`.
+        ``(block_ids, occurrence_indices)`` array pair of consumption state
+        the equivalent call sequence leaves behind, to be applied via
+        :meth:`apply_consumption`.
         """
         n = self._num_accesses
         size = self._superblock_size
         if n == 0:
-            return [], []
+            return [], (self._uniq, self._uniq)  # both empty: nothing planned
         sid = self._sorted_ids
         socc = self._sorted_occ
         bin_idx = (socc - self._start_index) // size
@@ -324,26 +329,23 @@ class LookaheadPlan:
         first_of_block[0] = True
         first_of_block[1:] = last_of_block[:-1]
         multi_last = last_of_block & ~first_of_block
-        final_consumed = list(
-            zip(fb_block[multi_last].tolist(), fb_occ[multi_last].tolist())
-        )
+        final_consumed = (fb_block[multi_last], fb_occ[multi_last])
         return remaps, final_consumed
 
-    def apply_consumption(self, final_consumed: list[tuple[int, int]]) -> None:
+    def apply_consumption(
+        self, final_consumed: tuple[np.ndarray, np.ndarray]
+    ) -> None:
         """Install the consumption state computed by :meth:`plan_bin_remaps`."""
-        consumed = self._consumed_up_to
-        for block_id, occ in final_consumed:
-            if consumed.get(block_id, -1) < occ:
-                consumed[block_id] = occ
+        block_ids, occ = final_consumed
+        index = np.searchsorted(self._uniq, block_ids)
+        self._consumed[index] = np.maximum(self._consumed[index], occ)
 
     def occurrences(self, block_id: int) -> list[int]:
         """Trace indices at which ``block_id`` is accessed within the window."""
-        occ_list, _, ranges = self._lookup_tables()
-        bounds = ranges.get(block_id)
-        if bounds is None:
+        index = self._block_index(block_id)
+        if index is None:
             return []
-        start, end = bounds
-        return occ_list[start:end]
+        return self._sorted_occ[self._starts[index] : self._ends[index]].tolist()
 
     def metadata_bytes(self) -> int:
         """Size of the (block id, future path) metadata the preprocessor ships.

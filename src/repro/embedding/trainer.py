@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.laoram import LAORAMClient
+from repro.core.laoram import LookaheadClientMixin
 from repro.datasets.kaggle import SyntheticCriteoDataset
 from repro.datasets.xnli import SyntheticXNLIDataset
 from repro.embedding.dlrm import DLRMModel
@@ -137,9 +137,15 @@ class ObliviousEmbeddingTrainer:
 
     # ------------------------------------------------------------------
     def _maybe_install_plan(self, trace: np.ndarray) -> None:
-        """Give a LAORAM client the epoch's access trace ahead of time."""
+        """Give a LAORAM client the epoch's access trace ahead of time.
+
+        Keyed on the :class:`~repro.core.laoram.LookaheadClientMixin`
+        protocol, so both backends (per-object and array) train through
+        the plan.  Before the first access the plan also lays the table out
+        (``apply_initial_placement``, trusted setup).
+        """
         memory = self.store.memory
-        if isinstance(memory, LAORAMClient):
+        if isinstance(memory, LookaheadClientMixin):
             plan = memory.preprocess(trace, start_index=memory.trace_cursor)
             if memory.statistics.logical_accesses == 0:
                 memory.apply_initial_placement(plan)

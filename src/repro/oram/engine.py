@@ -45,7 +45,7 @@ from repro.oram.position_map import PositionMap
 from repro.oram.recursive_posmap import RecursivePositionMap
 from repro.oram.shm import ArrayAllocator
 from repro.oram.stash import Stash
-from repro.oram.tree import ArrayTreeStorage, TreeStorage
+from repro.oram.tree import PLACE_CHUNK, ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
     greedy_write_back,
     plan_batched_write_back,
@@ -766,12 +766,21 @@ class ArrayStorageEngine(TreeORAMEngine):
     def _bulk_load(self) -> None:
         """Place every block into the tree according to its initial path.
 
-        One vectorized pass per level; overflow goes to the stash in
-        ascending id order, exactly as the per-object bulk load does.
+        Ids are placed ``PLACE_CHUNK`` at a time in ascending order, each
+        chunk's leaves read through the charge-free ``peek_many`` channel,
+        so no map-sized copy or id range is ever materialised.  Overflow
+        goes to the stash in ascending id order, exactly as the per-object
+        bulk load does.  The stash capacity is checked once every block is
+        placed, so an overflowing engine still holds all of them.
         """
-        initial_leaves = self.position_map.as_array()
-        overflow = self.tree.bulk_place(initial_leaves)
-        self._stash_merge(overflow, initial_leaves[overflow])
+        pm = self.position_map
+        num_blocks = self.config.num_blocks
+        for start in range(0, num_blocks, PLACE_CHUNK):
+            stop = min(start + PLACE_CHUNK, num_blocks)
+            ids = np.arange(start, stop, dtype=np.int64)
+            overflow = self.tree.bulk_place_ordered(ids, pm.peek_many(ids))
+            self.stash.update(zip(overflow.tolist(), pm.peek_many(overflow).tolist()))
+        self._check_stash_capacity()
 
     def load_payloads(self, payloads: dict[int, object]) -> None:
         """Install payloads for blocks during trusted setup (no traffic charged)."""
@@ -884,16 +893,16 @@ class ArrayStorageEngine(TreeORAMEngine):
         decisions are not the plain PathORAM sequence the fused core
         replicates: an overridden ``access`` (protocol mixins ship their own
         fused drivers), a plan-driven ``_choose_new_leaf`` (LAORAM), a
-        custom eviction policy class, or a non-dense position map (the
-        fused core writes the dense leaf array directly, which would
-        bypass recursion charging).
+        custom eviction policy class, or a position map that does not
+        declare ``DIRECT_LEAF_WRITES`` (the fused core writes the dense
+        leaf array directly, which would bypass recursion charging).
         """
         cls = type(self)
         if (
             cls.access is not TreeORAMEngine.access
             or cls._choose_new_leaf is not TreeORAMEngine._choose_new_leaf
             or type(self.eviction) is not EvictionPolicy
-            or type(self.position_map) is not PositionMap
+            or not self.position_map.DIRECT_LEAF_WRITES
         ):
             return TreeORAMEngine.run_trace(self, block_ids, ops, payloads)
         return self._run_trace_fused(block_ids, ops, payloads)
@@ -1239,11 +1248,12 @@ class ArrayStorageEngine(TreeORAMEngine):
         (:meth:`ArrayTreeStorage.bulk_place_ordered`) instead of a scalar
         placement per block, so PrORAM's static superblock relayout at setup
         is a handful of vectorized passes.  Overflow enters the stash in the
-        same priority order the scalar loop would have used.  Every block is
-        present, so block-id order (``by_id``) is the initial bulk load.
+        same priority order the scalar loop would have used.  The tree is
+        emptied in place, never rebuilt.  Every block is present, so
+        block-id order (``by_id``) is the initial bulk load.
         """
         if by_id:
-            self.tree = self._make_tree()
+            self.tree.clear()
             self.stash.clear()
             self._bulk_load()
             return
@@ -1253,10 +1263,8 @@ class ArrayStorageEngine(TreeORAMEngine):
                 np.fromiter(self.stash, np.int64, len(self.stash)),
             ]
         )
-        self.tree = self._make_tree()
+        self.tree.clear()
         self.stash.clear()
-        if ordered.size == 0:
-            return
-        pm_leaves = self.position_map.as_array()
-        overflow = self.tree.bulk_place_ordered(ordered, pm_leaves[ordered])
-        self._stash_merge(overflow, pm_leaves[overflow])
+        pm = self.position_map
+        overflow = self.tree.bulk_place_ordered(ordered, pm.peek_many(ordered))
+        self._stash_merge(overflow, pm.peek_many(overflow))

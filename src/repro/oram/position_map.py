@@ -39,6 +39,12 @@ class PositionMap:
     ids are contiguous embedding-row indices.
     """
 
+    #: Capability: :attr:`leaves` is the whole map, so the fused trace
+    #: drivers may write it directly.  A map whose lookups are charged (the
+    #: recursive map) declares ``False``, which routes engines to the
+    #: generic per-access protocol.
+    DIRECT_LEAF_WRITES = True
+
     def __init__(
         self,
         num_blocks: int,

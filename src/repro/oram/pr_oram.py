@@ -47,7 +47,6 @@ from repro.oram.config import ORAMConfig
 from repro.oram.engine import TreeORAMEngine
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
-from repro.oram.position_map import PositionMap
 
 
 class SuperblockMode(enum.Enum):
@@ -298,7 +297,7 @@ class ArrayPrORAM(SuperblockPolicyMixin, ArrayPathORAM):
             cls.access is not SuperblockPolicyMixin.access
             or cls._choose_new_leaf is not TreeORAMEngine._choose_new_leaf
             or type(self.eviction) is not EvictionPolicy
-            or type(self.position_map) is not PositionMap
+            or not self.position_map.DIRECT_LEAF_WRITES
         ):
             return TreeORAMEngine.run_trace(self, block_ids, ops, payloads)
         if self.superblock_size == 1:

@@ -114,7 +114,9 @@ class _RecursionLevel:
         self.labels = rng.integers(
             0, self.num_leaves, size=num_blocks, dtype=np.int64
         )
-        overflow = self.tree.bulk_place(self.labels)
+        overflow = self.tree.bulk_place_ordered(
+            np.arange(num_blocks, dtype=np.int64), self.labels
+        )
         self.stash = {
             int(block): int(self.labels[block]) for block in overflow.tolist()
         }
@@ -143,9 +145,12 @@ class RecursivePositionMap:
 
     Not exposed: the dense map's live ``leaves`` array.  The fused trace
     drivers write that array directly and would silently bypass recursion
-    charging, so engines gate their fused paths on the position-map type
-    and fall back to the generic per-access protocol under recursion.
+    charging, so this map declares ``DIRECT_LEAF_WRITES = False`` and the
+    engines fall back to the generic per-access protocol under recursion.
     """
+
+    #: See :attr:`PositionMap.DIRECT_LEAF_WRITES`.
+    DIRECT_LEAF_WRITES = False
 
     def __init__(
         self,

@@ -39,7 +39,6 @@ from repro.oram.engine import (
     TreeORAMEngine,
     _fused_fetch,
 )
-from repro.oram.position_map import PositionMap
 from repro.oram.write_back import greedy_write_back
 
 
@@ -228,7 +227,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         """Fused RingORAM trace driver (sequential semantics)."""
         if (
             type(self).access is not RingProtocolMixin.access
-            or type(self.position_map) is not PositionMap
+            or not self.position_map.DIRECT_LEAF_WRITES
         ):
             return TreeORAMEngine.run_trace(self, block_ids, ops, payloads)
         return self._run_trace_ring_fused(block_ids, ops, payloads)

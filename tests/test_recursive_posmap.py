@@ -137,6 +137,47 @@ class TestDenseRecursiveBitIdentity:
         )
 
 
+class TestFusedRouting:
+    """Fused drivers run on maps declaring ``DIRECT_LEAF_WRITES`` only."""
+
+    def test_capability_declared_by_the_maps(self):
+        assert PositionMap.DIRECT_LEAF_WRITES is True
+        assert RecursivePositionMap.DIRECT_LEAF_WRITES is False
+
+    @pytest.mark.parametrize(
+        "label, fused",
+        [
+            ("PathORAM", "_run_trace_fused"),
+            ("PrORAM-dynamic/S2", "_run_trace_fused"),
+            ("RingORAM", "_run_trace_ring_fused"),
+        ],
+    )
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_dense_runs_fused_recursive_falls_back(
+        self, monkeypatch, label, fused, recursive
+    ):
+        config = build_oram_config(
+            num_blocks=NUM_BLOCKS,
+            block_size_bytes=32,
+            seed=3,
+            recursive_posmap=recursive,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=256,
+        )
+        engine = build_engine(label, config, fast=True)
+        calls = []
+        original = getattr(engine, fused)
+
+        def spy(*args, **kwargs):
+            calls.append(fused)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, fused, spy)
+        engine.run_trace(np.arange(32) % NUM_BLOCKS)
+        assert engine.statistics.logical_accesses == 32
+        assert calls == ([] if recursive else [fused])
+
+
 class TestChargingModel:
     """Exactly one charged walk per position-map update."""
 

@@ -108,12 +108,15 @@ class TestFromArrays:
                 np.arange(10), np.asarray([1]), superblock_size=4, num_leaves=8
             )
 
-    def test_initial_leaves_and_consume_first_occurrences(self):
+    def test_first_leaves_and_consume_first_occurrences(self):
         plan = make_plan()
-        init = plan.initial_leaves(16)
-        assert init[5] == 3  # first occurrence in bin 0
-        assert init[2] == 6  # first occurrence in bin 1
-        assert init[0] == -1  # never planned
+        ids, leaves = plan.first_leaves(16)
+        # Only planned blocks, ascending, each on its first bin's leaf:
+        # 5/7/9 first appear in bin 0 (leaf 3), 2/11 in bin 1 (leaf 6).
+        assert ids.tolist() == [2, 5, 7, 9, 11]
+        assert leaves.tolist() == [6, 3, 3, 3, 6]
+        ids, leaves = plan.first_leaves(10)  # ids >= num_blocks are dropped
+        assert ids.tolist() == [2, 5, 7, 9]
         plan.consume_first_occurrences(16)
         # Block 5's occurrence 0 (index 0, leaf 3) is spent: the next
         # reassignment moves on to index 2 (still bin 0) then bin 1.
